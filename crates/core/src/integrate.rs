@@ -199,7 +199,11 @@ pub fn integrate_sq(
             }
         }
         let mut subset: Vec<usize> = Vec::with_capacity(l);
+        let mut always_true = false;
         enumerate_subsets(n, l, 0, &mut subset, &conflict, &mut |chosen| {
+            if always_true {
+                return;
+            }
             let mut cs = ConjunctSet::new();
             for &i in chosen {
                 let (p, v) = optional[i];
@@ -211,11 +215,17 @@ pub fn integrate_sq(
                     }
                 }
             }
-            if let Some(e) = b::and_all(cs.exprs) {
-                or_branches.push(e);
+            match b::and_all(cs.exprs) {
+                Some(e) => or_branches.push(e),
+                // Every condition is already required by the query or the
+                // mandatory part: this subset holds on every row, so the
+                // whole disjunction is TRUE and no optional part remains.
+                None => always_true = true,
             }
         });
-        if or_branches.is_empty() {
+        if always_true {
+            or_branches.clear();
+        } else if or_branches.is_empty() {
             // No conflict-free combination exists: nothing can satisfy L
             // preferences simultaneously.
             or_branches.push(Expr::Literal(Value::Bool(false)));

@@ -311,7 +311,7 @@ fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
 /// Execute a [`Plan::IndexScan`]: an index point lookup plus residual
 /// filter, falling back to a full scan (with the reconstructed predicate)
 /// when the index was dropped after planning.
-pub(crate) fn index_scan(
+fn index_scan(
     env: &Env,
     table: &str,
     column: &str,
@@ -343,65 +343,78 @@ pub(crate) fn index_scan(
             Ok(out)
         }
         None => {
-            // The index was dropped after planning: reconstruct the
-            // full pushed-down predicate and fall back to a scan.
-            let Some(col) = t.schema().column_index(column) else {
-                return bind_err(format!("unknown column `{column}` in `{table}`"));
-            };
-            let eq = BoundExpr::Binary {
-                left: Box::new(BoundExpr::Column(col)),
-                op: BinaryOp::Eq,
-                right: Box::new(BoundExpr::Literal(key.clone())),
-            };
-            let pred = match residual {
-                Some(r) => BoundExpr::Binary {
-                    left: Box::new(eq),
-                    op: BinaryOp::And,
-                    right: Box::new(r.clone()),
-                },
-                None => eq,
-            };
+            let pred = index_scan_predicate(&t, column, key, residual)?;
             drop(t);
             scan(env, table, Some(&pred))
         }
     }
 }
 
-/// Serve a filtered scan through a hash index when the pushed-down filter
-/// has a `col = literal` conjunct over an indexed column. `Ok(None)` means
-/// no such conjunct: the caller falls through to a full heap scan. Shared
-/// by the tuple and batched scan paths.
-pub(crate) fn scan_index_shortcut(
+/// The full pushed-down predicate of a [`Plan::IndexScan`],
+/// `column = key AND residual`: what a scan must apply instead when the
+/// index was dropped after planning. Shared by the tuple and batched paths.
+pub(crate) fn index_scan_predicate(
     t: &Table,
-    f: &BoundExpr,
-    ctx: &QueryCtx,
-) -> Result<Option<Vec<Row>>> {
-    for conjunct in split_and(f) {
-        let Some((col, value)) = as_eq_literal(conjunct) else {
-            continue;
-        };
-        if value.is_null() {
-            continue; // `= NULL` can never be TRUE; fall through to scan
+    column: &str,
+    key: &Value,
+    residual: Option<&BoundExpr>,
+) -> Result<BoundExpr> {
+    let Some(col) = t.schema().column_index(column) else {
+        return bind_err(format!("unknown column `{column}` in `{}`", t.schema().name));
+    };
+    let eq = BoundExpr::Binary {
+        left: Box::new(BoundExpr::Column(col)),
+        op: BinaryOp::Eq,
+        right: Box::new(BoundExpr::Literal(key.clone())),
+    };
+    Ok(match residual {
+        Some(r) => {
+            BoundExpr::Binary { left: Box::new(eq), op: BinaryOp::And, right: Box::new(r.clone()) }
         }
-        let name = &t.schema().columns[col].name;
-        if let Some(hits) = t.index_lookup(name, value) {
-            let mut out = Vec::new();
-            let mut pending = 0u64;
-            for row in hits? {
-                pending += 1;
-                if pending == CHARGE_BATCH_ROWS {
-                    ctx.charge_rows(pending)?;
-                    pending = 0;
-                }
-                if f.eval_predicate(&row)? {
-                    out.push(row);
-                }
-            }
+        None => eq,
+    })
+}
+
+/// The first `col = literal` conjunct of a pushed-down filter (non-NULL
+/// literal) whose column has a hash index, as (column name, key). A scan
+/// with such a conjunct is served by an index lookup plus the whole filter
+/// instead of a heap scan; both scan paths take this shortcut.
+pub(crate) fn indexed_eq_conjunct<'t, 'f>(
+    t: &'t Table,
+    f: &'f BoundExpr,
+) -> Option<(&'t str, &'f Value)> {
+    split_and(f).into_iter().find_map(|conjunct| {
+        let (col, value) = as_eq_literal(conjunct)?;
+        if value.is_null() {
+            return None; // `= NULL` can never be TRUE
+        }
+        let name = t.schema().columns[col].name.as_str();
+        t.index_on(name).is_some().then_some((name, value))
+    })
+}
+
+/// Serve a filtered scan through a hash index (see
+/// [`indexed_eq_conjunct`]). `Ok(None)` means no indexed equality conjunct:
+/// the caller falls through to a full heap scan.
+fn scan_index_shortcut(t: &Table, f: &BoundExpr, ctx: &QueryCtx) -> Result<Option<Vec<Row>>> {
+    let Some(hits) = indexed_eq_conjunct(t, f).and_then(|(name, key)| t.index_lookup(name, key))
+    else {
+        return Ok(None);
+    };
+    let mut out = Vec::new();
+    let mut pending = 0u64;
+    for row in hits? {
+        pending += 1;
+        if pending == CHARGE_BATCH_ROWS {
             ctx.charge_rows(pending)?;
-            return Ok(Some(out));
+            pending = 0;
+        }
+        if f.eval_predicate(&row)? {
+            out.push(row);
         }
     }
-    Ok(None)
+    ctx.charge_rows(pending)?;
+    Ok(Some(out))
 }
 
 /// Scan a base table, using a hash index for an equality conjunct of the
@@ -573,14 +586,53 @@ pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
     });
 }
 
+/// The runtime index-join sniff's shape test, shared by both executors:
+/// `scan_side` is a base-table scan whose (single) join column has a hash
+/// index, on a table without statistics — for analyzed tables the planner
+/// owns the index-join decision ([`Plan::IndexJoin`]), so this runtime
+/// sniffing only covers un-analyzed tables.
+pub(crate) fn sniff_index_join<'p>(
+    env: &Env,
+    scan_side: &'p Plan,
+    scan_keys: &[usize],
+) -> Result<Option<IndexedSide<'p>>> {
+    let Plan::Scan { table, filter, .. } = scan_side else {
+        return Ok(None);
+    };
+    let t = env.catalog.table(table)?;
+    let t = t.read();
+    if t.stats().is_some() {
+        return Ok(None);
+    }
+    let name = t.schema().columns[scan_keys[0]].name.clone();
+    if t.index_on(&name).is_none() {
+        return Ok(None);
+    }
+    Ok(Some(IndexedSide { table, filter: filter.as_ref(), column: name, rows: t.len() }))
+}
+
+/// The scan side [`sniff_index_join`] found.
+pub(crate) struct IndexedSide<'p> {
+    pub table: &'p str,
+    /// The scan's pushed-down filter.
+    pub filter: Option<&'p BoundExpr>,
+    /// The indexed join column.
+    pub column: String,
+    /// The table's row count, for [`index_probe_pays`].
+    pub rows: usize,
+}
+
+/// The executor's size guard on index-nested-loop joins: probing pays off
+/// only when the probe side is small relative to the indexed table
+/// (otherwise hashing wins).
+pub(crate) fn index_probe_pays(probe_rows: usize, table_rows: usize) -> bool {
+    probe_rows * 4 <= table_rows
+}
+
 /// Index-nested-loop join: execute `probe`, and for each probe row fetch
-/// matches from `scan_side` (which must be a base-table scan with an index
-/// on its single join column). Returns `None` when the shape or the size
-/// heuristic does not apply, or when the table has statistics — for
-/// analyzed tables the planner owns the index-join decision
-/// ([`Plan::IndexJoin`]); this runtime sniffing only covers un-analyzed
-/// tables.
-pub(crate) fn try_index_join(
+/// matches from `scan_side` (see [`sniff_index_join`]). Returns `None` when
+/// the shape does not apply.
+fn try_index_join(
     env: &Env,
     probe: &Plan,
     scan_side: &Plan,
@@ -588,35 +640,23 @@ pub(crate) fn try_index_join(
     scan_keys: &[usize],
     probe_is_left: bool,
 ) -> Result<Option<Vec<Row>>> {
-    let Plan::Scan { table, filter, .. } = scan_side else {
+    let Some(IndexedSide { table, filter, column, rows }) =
+        sniff_index_join(env, scan_side, scan_keys)?
+    else {
         return Ok(None);
     };
-    let t = env.catalog.table(table)?;
-    // Resolve the indexed column name and check an index exists.
-    let (col_name, table_len) = {
-        let t = t.read();
-        if t.stats().is_some() {
-            return Ok(None);
-        }
-        let name = t.schema().columns[scan_keys[0]].name.clone();
-        if t.index_on(&name).is_none() {
-            return Ok(None);
-        }
-        (name, t.len())
-    };
     let probe_rows = run(env, probe)?;
-    // Heuristic: probing pays off only when the probe side is small
-    // relative to the indexed table (otherwise hashing wins).
-    if probe_rows.len() * 4 > table_len {
+    if !index_probe_pays(probe_rows.len(), rows) {
         // Fall back by handing the already-computed probe rows to a hash
         // join (avoid re-executing the probe subtree).
-        let scan_rows = scan(env, table, filter.as_ref())?;
+        let scan_rows = scan(env, table, filter)?;
         let rows =
             hash_join_oriented(env, probe_rows, scan_rows, probe_keys, scan_keys, probe_is_left)?;
         return Ok(Some(rows));
     }
+    let t = env.catalog.table(table)?;
     let t = t.read();
-    index_probe(env.ctx, &t, &col_name, &probe_rows, probe_keys[0], filter.as_ref(), probe_is_left)
+    index_probe(env.ctx, &t, &column, &probe_rows, probe_keys[0], filter, probe_is_left)
 }
 
 /// Execute a planner-chosen [`Plan::IndexJoin`]'s scan side against
@@ -624,7 +664,7 @@ pub(crate) fn try_index_join(
 /// when the probe side turns out large relative to the table, or the index
 /// is missing at runtime, fall back to hashing.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn index_join(
+fn index_join(
     env: &Env,
     probe_rows: Vec<Row>,
     probe_key: usize,
@@ -639,7 +679,7 @@ pub(crate) fn index_join(
     let Some(scan_key) = t.schema().column_index(column) else {
         return bind_err(format!("unknown column `{column}` in `{table}`"));
     };
-    if t.index_on(column).is_some() && probe_rows.len() * 4 <= t.len() {
+    if t.index_on(column).is_some() && index_probe_pays(probe_rows.len(), t.len()) {
         if let Some(rows) =
             index_probe(env.ctx, &t, column, &probe_rows, probe_key, filter, probe_is_left)?
         {

@@ -6,7 +6,11 @@
 //! ([`BatchBuilder::push_encoded`]), filters evaluate selection vectors
 //! over columns (`crate::vexpr`), and hash-join probes gather matched rows
 //! column-wise — a memcpy per numeric column and a refcount bump per
-//! string, never a per-row `Vec<Value>` allocation.
+//! string, never a per-row `Vec<Value>` allocation. Index scans and
+//! index-nested-loop joins decode their hits the same way, from the raw
+//! heap bytes an index points at ([`Table::index_lookup_raw`],
+//! [`Table::get_raw`]), and a join splices each batch of hits with the
+//! probe rows they matched through a probe selection vector.
 //!
 //! ## Equivalence contract
 //!
@@ -17,8 +21,13 @@
 //! - batches preserve scan order, and every operator consumes/emits batch
 //!   lists in order, so row order is the serial order by construction;
 //! - operators that are not vectorized (aggregate, sort, distinct, cross
-//!   join, index paths, union) materialize their input and delegate to the
-//!   tuple helpers in `exec` — same code, same semantics;
+//!   join, union) materialize their input and delegate to the tuple
+//!   helpers in `exec` — same code, same semantics;
+//! - index paths make the tuple path's access-path decisions (the runtime
+//!   index-join sniff, the 4× probe-size guard, the dropped-index
+//!   fallbacks) from the same inputs, emit in probe order then index
+//!   order, and record the same span fields (`table`, `strategy`,
+//!   `probe_rows`);
 //! - expression evaluation defers to `crate::vexpr`, whose kernels are
 //!   provably exact or fall back to per-row `BoundExpr::eval`;
 //! - parallel paths reuse the `par` module's morsel layout: contiguous
@@ -27,8 +36,10 @@
 //!
 //! ## Governor contract
 //!
-//! The **batch boundary is the governor checkpoint**: scans charge rows per
-//! flushed batch, joins charge each output batch's actual
+//! The **batch boundary is the governor checkpoint**: scans and index
+//! fetches charge rows per flushed batch (every fetched row, before any
+//! filter — the same total as the tuple path), hash joins charge each
+//! output batch's actual
 //! [`Batch::mem_bytes`], and every per-batch loop checkpoints between
 //! batches — at [`pqp_storage::BATCH_SIZE`] rows the granularity matches
 //! the tuple path's `CHARGE_BATCH_ROWS`/`CHECKPOINT_STRIDE` cadence, so
@@ -37,21 +48,26 @@
 //! fire at the same sites as the tuple path.
 
 use crate::bound::BoundExpr;
-use crate::error::{failpoint, Result};
+use crate::error::{bind_err, failpoint, Result};
 use crate::exec::{self, Env};
 use crate::par;
 use crate::plan::Plan;
 use crate::vexpr;
 use pqp_obs::governor::CHECKPOINT_STRIDE;
 use pqp_obs::QueryCtx;
-use pqp_storage::{Batch, BatchBuilder, ColumnData, Row, Table, Value};
+use pqp_storage::{
+    Batch, BatchBuilder, Column, ColumnData, HashIndex, Row, Table, Value, BATCH_SIZE,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// An operator's materialized output: batches while the plan stays on the
 /// vectorized path, rows once an operator has delegated to the tuple
-/// helpers (there is no re-batching — downstream operators then stay
-/// row-oriented too, which is exactly the tuple path they delegate to).
+/// helpers (aggregate, sort, distinct, cross join, union, TopK).
+/// Downstream operators then stay row-oriented too, which is exactly the
+/// tuple path they delegate to — except an index join, which re-batches a
+/// row-oriented probe side ([`Out::into_batches`]) and always emits
+/// batches.
 pub(crate) enum Out {
     B(Vec<Batch>),
     R(Vec<Row>),
@@ -62,6 +78,18 @@ impl Out {
         match self {
             Out::B(bats) => bats.iter().map(Batch::len).sum(),
             Out::R(rows) => rows.len(),
+        }
+    }
+
+    /// The output as batches; rows are re-batched ([`Batch::from_rows`]
+    /// round-trips every value exactly).
+    fn into_batches(self) -> Vec<Batch> {
+        match self {
+            Out::B(bats) => bats,
+            Out::R(rows) => {
+                let arity = rows.first().map_or(0, Vec::len);
+                rows.chunks(BATCH_SIZE).map(|c| Batch::from_rows(c, arity)).collect()
+            }
         }
     }
 
@@ -111,19 +139,11 @@ fn execute_vop(env: &Env, plan: &Plan) -> Result<Out> {
         }
         Plan::IndexScan { table, column, key, residual, .. } => {
             pqp_obs::record("table", table.as_str());
-            Ok(Out::R(exec::index_scan(env, table, column, key, residual.as_ref())?))
+            vindex_scan(env, table, column, key, residual.as_ref())
         }
         Plan::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, .. } => {
-            let probe_rows = run_b(env, probe)?.into_rows();
-            Ok(Out::R(exec::index_join(
-                env,
-                probe_rows,
-                *probe_key,
-                table,
-                column,
-                filter.as_ref(),
-                *probe_is_left,
-            )?))
+            let probe = run_b(env, probe)?;
+            vindex_join(env, probe, *probe_key, table, column, filter.as_ref(), *probe_is_left)
         }
         Plan::Filter { input, predicate } => {
             let input = run_b(env, input)?;
@@ -134,37 +154,22 @@ fn execute_vop(env: &Env, plan: &Plan) -> Result<Out> {
             }
         }
         Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            // Same runtime access-path sniffing as the tuple path: an
-            // index-nested-loop join is row-oriented by nature, so when it
-            // applies the batched path simply takes it as-is.
+            // Same runtime access-path sniffing as the tuple path, in the
+            // same order, so both paths pick the same strategy.
             if right_keys.len() == 1 {
-                if let Some(rows) =
-                    exec::try_index_join(env, left, right, left_keys, right_keys, true)?
-                {
-                    return Ok(Out::R(rows));
+                if let Some(out) = try_vindex_join(env, left, right, left_keys, right_keys, true)? {
+                    return Ok(out);
                 }
-                if let Some(rows) =
-                    exec::try_index_join(env, right, left, right_keys, left_keys, false)?
+                if let Some(out) = try_vindex_join(env, right, left, right_keys, left_keys, false)?
                 {
-                    return Ok(Out::R(rows));
+                    return Ok(out);
                 }
             }
             let l = run_b(env, left)?;
             let r = run_b(env, right)?;
             pqp_obs::record("left_rows", l.len());
             pqp_obs::record("right_rows", r.len());
-            match (l, r) {
-                (Out::B(lb), Out::B(rb)) => {
-                    Ok(Out::B(join_batches(env, lb, rb, left_keys, right_keys)?))
-                }
-                (l, r) => Ok(Out::R(exec::join_rows(
-                    env,
-                    l.into_rows(),
-                    r.into_rows(),
-                    left_keys,
-                    right_keys,
-                )?)),
-            }
+            hash_join_out(env, l, r, left_keys, right_keys)
         }
         Plan::CrossJoin { left, right, .. } => {
             let l = run_b(env, left)?.into_rows();
@@ -246,12 +251,17 @@ fn vscan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Out> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
+    let arity = t.schema().arity();
     if let Some(f) = filter {
-        if let Some(out) = exec::scan_index_shortcut(&t, f, ctx)? {
-            return Ok(Out::R(out));
+        // The index shortcut of `exec::scan`: an indexed equality conjunct
+        // turns the scan into a lookup, and the whole filter runs per batch
+        // over the fetched rows.
+        if let Some((name, key)) = exec::indexed_eq_conjunct(&t, f) {
+            if let Some(hits) = t.index_lookup_raw(name, key) {
+                return Ok(Out::B(fetch_rows(arity, hits, Some(f), ctx)?));
+            }
         }
     }
-    let arity = t.schema().arity();
     if let Some(parts) = env.opts.partitions_for(t.len()) {
         // Morsel unit is a page: at most one partition per page.
         let parts = parts.min(t.page_count());
@@ -339,6 +349,224 @@ fn scan_partitioned_batched(
     let sizes: Vec<usize> = per_part.iter().map(|c| c.iter().map(Batch::len).sum()).collect();
     par::record_partitions(&sizes);
     Ok(per_part.into_iter().flatten().collect())
+}
+
+// -------------------------------------------------------- index paths ----
+
+/// Decode fetched rows (index hits, as raw heap bytes) into batches. Each
+/// batch is charged and filtered at its boundary exactly like a heap
+/// scan's, so an index fetch charges the same rows as the tuple path: every
+/// row fetched, before the filter.
+fn fetch_rows<'a>(
+    arity: usize,
+    rows: impl Iterator<Item = &'a [u8]>,
+    filter: Option<&BoundExpr>,
+    ctx: &QueryCtx,
+) -> Result<Vec<Batch>> {
+    let mut out = Vec::new();
+    let mut b = BatchBuilder::new(arity);
+    for enc in rows {
+        b.push_encoded(enc)?;
+        if b.is_full() {
+            flush(&mut b, filter, ctx, &mut out)?;
+        }
+    }
+    flush(&mut b, filter, ctx, &mut out)?;
+    Ok(out)
+}
+
+/// Batched [`Plan::IndexScan`]: an index point lookup decoded straight into
+/// batches, the residual filter applied per batch. When the index was
+/// dropped after planning, a scan with the reconstructed predicate.
+fn vindex_scan(
+    env: &Env,
+    table: &str,
+    column: &str,
+    key: &Value,
+    residual: Option<&BoundExpr>,
+) -> Result<Out> {
+    let t = env.catalog.table(table)?;
+    let t = t.read();
+    if let Some(hits) = t.index_lookup_raw(column, key) {
+        pqp_obs::record("strategy", "index_scan");
+        return Ok(Out::B(fetch_rows(t.schema().arity(), hits, residual, env.ctx)?));
+    }
+    let pred = exec::index_scan_predicate(&t, column, key, residual)?;
+    drop(t);
+    vscan(env, table, Some(&pred))
+}
+
+/// Batched counterpart of `exec::try_index_join`: the same shape test
+/// (`exec::sniff_index_join`) and size guard, so it takes the index exactly
+/// when the tuple path does; `Ok(None)` hands the join back to the hash
+/// join.
+fn try_vindex_join(
+    env: &Env,
+    probe: &Plan,
+    scan_side: &Plan,
+    probe_keys: &[usize],
+    scan_keys: &[usize],
+    probe_is_left: bool,
+) -> Result<Option<Out>> {
+    let Some(exec::IndexedSide { table, filter, column, rows }) =
+        exec::sniff_index_join(env, scan_side, scan_keys)?
+    else {
+        return Ok(None);
+    };
+    let probe = run_b(env, probe)?;
+    if !exec::index_probe_pays(probe.len(), rows) {
+        // Hash the already-computed probe side against a scan instead of
+        // re-executing the probe subtree.
+        let scan = vscan(env, table, filter)?;
+        return hash_join_oriented(env, probe, scan, probe_keys, scan_keys, probe_is_left)
+            .map(Some);
+    }
+    let t = env.catalog.table(table)?;
+    let t = t.read();
+    let Some(idx) = t.index_on(&column) else {
+        return Ok(None);
+    };
+    let out = index_probe(env.ctx, &t, idx, probe, probe_keys[0], filter, probe_is_left)?;
+    Ok(Some(Out::B(out)))
+}
+
+/// Batched counterpart of `exec::index_join`: a planner-chosen
+/// [`Plan::IndexJoin`] over already-executed probe output. The runtime
+/// guard stays: a probe side large relative to the table, or an index
+/// missing at runtime, falls back to hashing.
+fn vindex_join(
+    env: &Env,
+    probe: Out,
+    probe_key: usize,
+    table: &str,
+    column: &str,
+    filter: Option<&BoundExpr>,
+    probe_is_left: bool,
+) -> Result<Out> {
+    pqp_obs::record("table", table);
+    let tref = env.catalog.table(table)?;
+    let t = tref.read();
+    let Some(scan_key) = t.schema().column_index(column) else {
+        return bind_err(format!("unknown column `{column}` in `{table}`"));
+    };
+    if let Some(idx) = t.index_on(column) {
+        if exec::index_probe_pays(probe.len(), t.len()) {
+            let out = index_probe(env.ctx, &t, idx, probe, probe_key, filter, probe_is_left)?;
+            return Ok(Out::B(out));
+        }
+    }
+    drop(t);
+    pqp_obs::record("strategy", "hash_fallback");
+    let scan = vscan(env, table, filter)?;
+    hash_join_oriented(env, probe, scan, &[probe_key], &[scan_key], probe_is_left)
+}
+
+/// The index-nested-loop probe. Each probe row's key is looked up in `idx`;
+/// its hits are decoded from heap bytes into a builder while a selection
+/// vector records which probe row each hit belongs to. A full builder (and
+/// the end of each probe batch) is flushed: the hits are charged as
+/// scanned rows, filtered per batch, and spliced column by column with the
+/// matching probe rows in `left ++ right` order. Output order is probe
+/// order, then index order — the tuple path's order exactly.
+fn index_probe(
+    ctx: &QueryCtx,
+    t: &Table,
+    idx: &HashIndex,
+    probe: Out,
+    probe_key: usize,
+    filter: Option<&BoundExpr>,
+    probe_is_left: bool,
+) -> Result<Vec<Batch>> {
+    pqp_obs::record("strategy", "index_nested_loop");
+    pqp_obs::record("probe_rows", probe.len());
+    let mut out = Vec::new();
+    let mut hits = BatchBuilder::new(t.schema().arity());
+    let mut psel: Vec<u32> = Vec::new();
+    let mut key = Value::Null;
+    let mut probed = 0usize;
+    for pb in probe.into_batches() {
+        let keys = pb.column(probe_key);
+        for i in 0..pb.len() {
+            if probed & (CHECKPOINT_STRIDE - 1) == 0 {
+                ctx.checkpoint()?;
+            }
+            probed += 1;
+            if !load_key(keys, i, &mut key) {
+                continue; // SQL equi-join semantics: NULL never matches.
+            }
+            for &id in idx.lookup(std::slice::from_ref(&key)) {
+                let Some(enc) = t.get_raw(id) else {
+                    continue;
+                };
+                hits.push_encoded(enc)?;
+                psel.push(i as u32);
+                if hits.is_full() {
+                    flush_probe(&mut hits, &mut psel, &pb, filter, probe_is_left, ctx, &mut out)?;
+                }
+            }
+        }
+        flush_probe(&mut hits, &mut psel, &pb, filter, probe_is_left, ctx, &mut out)?;
+    }
+    Ok(out)
+}
+
+/// Finish the probe's pending hits: charge them, filter them, and splice
+/// the survivors with their probe rows (`psel`) into one output batch.
+fn flush_probe(
+    hits: &mut BatchBuilder,
+    psel: &mut Vec<u32>,
+    pb: &Batch,
+    filter: Option<&BoundExpr>,
+    probe_is_left: bool,
+    ctx: &QueryCtx,
+    out: &mut Vec<Batch>,
+) -> Result<()> {
+    if hits.is_empty() {
+        return Ok(());
+    }
+    let hb = hits.finish();
+    let mut sel = std::mem::take(psel);
+    ctx.charge_rows(hb.len() as u64)?;
+    let hb = match filter {
+        Some(f) => {
+            let keep = vexpr::select_true(f, &hb)?;
+            if keep.is_empty() {
+                return Ok(());
+            }
+            if keep.len() == hb.len() {
+                hb
+            } else {
+                sel = keep.iter().map(|&j| sel[j as usize]).collect();
+                hb.gather(&keep)
+            }
+        }
+        None => hb,
+    };
+    let pg = pb.gather(&sel);
+    out.push(if probe_is_left { side_by_side(pg, hb) } else { side_by_side(hb, pg) });
+    Ok(())
+}
+
+/// Load cell `i` of a probe key column into `key` for an index lookup,
+/// reusing `key`'s string buffer. `false` for NULL.
+fn load_key(col: &Column, i: usize, key: &mut Value) -> bool {
+    if col.is_null(i) {
+        return false;
+    }
+    match col.data() {
+        ColumnData::Int(v) => *key = Value::Int(v[i]),
+        ColumnData::Float(v) => *key = Value::Float(v[i]),
+        ColumnData::Bool(v) => *key = Value::Bool(v[i]),
+        ColumnData::Str(v) => match key {
+            Value::Str(s) => {
+                s.clear();
+                s.push_str(&v[i]);
+            }
+            _ => *key = Value::Str(v[i].to_string()),
+        },
+        ColumnData::Val(v) => *key = v[i].clone(),
+    }
+    true
 }
 
 // ------------------------------------------------------- filter/project ----
@@ -493,6 +721,41 @@ enum JoinMap {
     Int(FxMap<i64>),
     Str(FxMap<Arc<str>>),
     Val(HashMap<Vec<Value>, Vec<u32>>),
+}
+
+/// Hash-join two operator outputs: batched when both sides stayed
+/// batched, the tuple join otherwise (same rows, same order either way).
+fn hash_join_out(
+    env: &Env,
+    l: Out,
+    r: Out,
+    left_keys: &[usize],
+    right_keys: &[usize],
+) -> Result<Out> {
+    match (l, r) {
+        (Out::B(lb), Out::B(rb)) => Ok(Out::B(join_batches(env, lb, rb, left_keys, right_keys)?)),
+        (l, r) => {
+            Ok(Out::R(exec::join_rows(env, l.into_rows(), r.into_rows(), left_keys, right_keys)?))
+        }
+    }
+}
+
+/// [`hash_join_out`] for a join whose sides an access-path decision named
+/// probe and scan side: un-swaps them into the plan's `left ++ right`
+/// orientation.
+fn hash_join_oriented(
+    env: &Env,
+    probe: Out,
+    scan: Out,
+    probe_keys: &[usize],
+    scan_keys: &[usize],
+    probe_is_left: bool,
+) -> Result<Out> {
+    if probe_is_left {
+        hash_join_out(env, probe, scan, probe_keys, scan_keys)
+    } else {
+        hash_join_out(env, scan, probe, scan_keys, probe_keys)
+    }
 }
 
 /// Batched hash join. Build side = the smaller side, concatenated into one
@@ -705,11 +968,16 @@ fn probe_one(pb: &Batch, probe_keys: &[usize], map: &JoinMap) -> (Vec<u32>, Vec<
 fn splice(build: &Batch, pb: &Batch, psel: &[u32], bsel: &[u32], build_left: bool) -> Batch {
     let bg = build.gather(bsel);
     let pg = pb.gather(psel);
-    let (mut cols, tail) = if build_left {
-        (bg.into_columns(), pg.into_columns())
+    if build_left {
+        side_by_side(bg, pg)
     } else {
-        (pg.into_columns(), bg.into_columns())
-    };
-    cols.extend(tail);
+        side_by_side(pg, bg)
+    }
+}
+
+/// One batch holding `left`'s columns then `right`'s (equal row counts).
+fn side_by_side(left: Batch, right: Batch) -> Batch {
+    let mut cols = left.into_columns();
+    cols.extend(right.into_columns());
     Batch::from_columns(cols)
 }

@@ -133,6 +133,38 @@ fn row_cap_trips_inside_planner_chosen_index_join() {
 }
 
 #[test]
+fn row_cap_trips_inside_batched_index_join() {
+    // Takes the failpoint guard: its scans must not consume a failpoint a
+    // sibling test armed.
+    with_failpoints(|| {
+        let db = fixture(2000);
+        // Un-analyzed: the executor sniffs the index join at runtime, probing
+        // A's pk index with the 300 B rows that pass the filter.
+        let q =
+            parse_query("select A.id, B.y from A, B where A.id = B.a_id and B.y < 300").unwrap();
+        let plan = db.plan(&q).unwrap();
+        let mut scanned = Vec::new();
+        for batched in [true, false] {
+            let opts = ExecOptions::default().batched(batched);
+            // B's scan charges 4000 rows, the probe's hits 300 more: the cap
+            // admits the scan and trips among the probe's hits.
+            let ctx = QueryCtx::new(Budget::unlimited().max_rows(4150));
+            let err = budget_err(db.run_plan_ctx(&plan, &opts, &ctx));
+            assert_eq!(err.reason, BudgetReason::RowsScanned, "batched={batched}");
+            assert!(
+                err.rows_scanned > 4150 && err.rows_scanned <= 4300,
+                "batched={batched}: tripped among the probe hits: {err:?}"
+            );
+            let ctx = QueryCtx::unlimited();
+            let ok = db.run_plan_ctx(&plan, &opts, &ctx).unwrap();
+            assert_eq!(ok.rows.len(), 300, "batched={batched}");
+            scanned.push(ctx.progress().rows_scanned);
+        }
+        assert_eq!(scanned, [4300, 4300], "both paths charge every scanned row and hit");
+    });
+}
+
+#[test]
 fn cancellation_stops_execution() {
     let db = fixture(300);
     let plan = db.plan(&parse_query(JOIN_SQL).unwrap()).unwrap();

@@ -482,6 +482,9 @@ struct CachedPlan {
     rewrite: Rewrite,
     k: usize,
     m: usize,
+    /// The planner's row estimate, taken when the plan was built: hits
+    /// report it in the query log instead of re-walking the plan.
+    est_rows: f64,
 }
 
 /// The serving layer: one database, many users, one front door.
@@ -1021,7 +1024,7 @@ impl Service {
             Lookup::Hit(cached) => {
                 self.plan_stats.hit();
                 obs.plan_cache = "hit";
-                obs.est_rows = Some(Estimator::new(self.db.catalog()).rows(&cached.plan));
+                obs.est_rows = Some(cached.est_rows);
                 let t_exec = Instant::now();
                 let rows = self.db.run_plan_ctx(&cached.plan, &self.config.exec, ctx);
                 obs.phases.execute_us += t_exec.elapsed().as_micros() as u64;
@@ -1117,7 +1120,8 @@ impl Service {
                     Err(e) => return Err(e.into()),
                 }
             };
-            obs.est_rows = Some(Estimator::new(self.db.catalog()).rows(&plan));
+            let est_rows = Estimator::new(self.db.catalog()).rows(&plan);
+            obs.est_rows = Some(est_rows);
             let t_exec = Instant::now();
             let rows = self.db.run_plan_ctx(&plan, &self.config.exec, ctx);
             obs.phases.execute_us += t_exec.elapsed().as_micros() as u64;
@@ -1126,7 +1130,7 @@ impl Service {
             if level == DegradeLevel::None {
                 // Only full-fidelity plans are cached: a degraded plan is an
                 // artifact of one query's budget, not of the user's profile.
-                let cached = CachedPlan { epoch, plan, rewrite: ran, k, m };
+                let cached = CachedPlan { epoch, plan, rewrite: ran, k, m, est_rows };
                 if self.plans.write().insert(key, Arc::new(cached)) {
                     self.plan_stats.eviction();
                 }
@@ -1764,6 +1768,7 @@ mod tests {
         assert_eq!(miss.prepared_cache, "miss");
         assert!(miss.sql.to_uppercase().contains("SELECT"), "canonical SQL is logged");
         assert!(miss.phases.personalize_us > 0 || miss.phases.plan_us > 0);
+        assert_eq!(hit.est_rows, miss.est_rows, "a hit reuses its miss's plan-time estimate");
 
         let snap = service.telemetry().snapshot();
         assert_eq!(snap.queries, 3);

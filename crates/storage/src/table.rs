@@ -120,6 +120,11 @@ impl Table {
         self.heap.get(id)
     }
 
+    /// Raw encoded bytes of a row by id (see [`Heap::get_raw`]).
+    pub fn get_raw(&self, id: RowId) -> Option<&[u8]> {
+        self.heap.get_raw(id)
+    }
+
     /// Delete a row by id, maintaining indexes.
     pub fn delete(&mut self, id: RowId) -> Result<bool> {
         let Some(row) = self.heap.get(id) else {
@@ -206,6 +211,19 @@ impl Table {
             }
         }
         Some(Ok(out))
+    }
+
+    /// Raw-bytes variant of [`Table::index_lookup`]: the matches' encoded
+    /// bytes in the same order, for the batched executor to decode straight
+    /// into column vectors. Returns `None` if no index on that column exists.
+    pub fn index_lookup_raw(
+        &self,
+        column: &str,
+        key: &Value,
+    ) -> Option<impl Iterator<Item = &[u8]> + '_> {
+        let idx = self.index_on(column)?;
+        let ids = idx.lookup(std::slice::from_ref(key));
+        Some(ids.iter().filter_map(|&id| self.heap.get_raw(id)))
     }
 }
 
@@ -296,6 +314,25 @@ mod tests {
         assert_eq!(t.index_lookup("title", &Value::str("a")).unwrap().unwrap().len(), 3);
         t.delete(id).unwrap();
         assert_eq!(t.index_lookup("title", &Value::str("a")).unwrap().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn raw_index_lookup_matches_decoded_lookup() {
+        let mut t = movie_table();
+        for (i, title) in ["a", "b", "a", "a"].into_iter().enumerate() {
+            t.insert(vec![Value::Int(i as i64), Value::str(title), Value::Null]).unwrap();
+        }
+        t.create_index("title").unwrap();
+        t.delete(RowId { page: 0, slot: 2 }).unwrap();
+        let decoded = t.index_lookup("title", &Value::str("a")).unwrap().unwrap();
+        let raw: Vec<Row> = t
+            .index_lookup_raw("title", &Value::str("a"))
+            .unwrap()
+            .map(|b| crate::row::decode_row(b).unwrap())
+            .collect();
+        assert_eq!(raw, decoded, "same rows, same order");
+        assert_eq!(raw.len(), 2, "the deleted row is gone from both");
+        assert!(t.index_lookup_raw("year", &Value::Int(2000)).is_none(), "no index on year");
     }
 
     #[test]

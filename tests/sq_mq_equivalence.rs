@@ -6,6 +6,8 @@
 //! (the situation in all of the paper's examples). These tests pin down both
 //! the equality and the containment on randomized workloads.
 
+mod common;
+
 use pqp_core::prelude::*;
 use pqp_datagen::{
     generate, generate_profile, generate_queries, MovieDbConfig, ProfileGenConfig, QueryGenConfig,
@@ -154,4 +156,38 @@ fn sq_and_mq_agree_on_result_degrees_when_ranked() {
             "row {key:?}: engine says {got}, client-side estimate {expect}"
         );
     }
+}
+
+#[test]
+fn sq_keeps_a_preference_the_query_already_satisfies() {
+    // The query already demands comedies, so the GENRE.genre = 'comedy'
+    // preference anchored at GN adds no condition: its L = 1 subset is the
+    // empty conjunction, which makes the optional disjunction TRUE. SQ must
+    // not drop it (that turned the disjunction into FALSE when it was the
+    // only subset), and SQ, MQ and the native rank operator must agree.
+    let db = common::paper_db();
+    let mut profile = pqp_core::Profile::new("u");
+    profile.add_selection("GENRE", "genre", "comedy", 0.9).unwrap();
+    let graph = InMemoryGraph::build(&profile, db.catalog()).unwrap();
+    let q = pqp_sql::parse_query(
+        "select MV.title from MOVIE MV, GENRE GN where MV.mid = GN.mid and GN.genre = 'comedy'",
+    )
+    .unwrap();
+    let p = personalize(&q, &graph, db.catalog(), PersonalizeOptions::builder().k(3).l(1).build())
+        .unwrap();
+    assert_eq!(p.k(), 1, "the comedy preference is selected");
+    let answers: Vec<BTreeSet<Vec<String>>> = [Rewrite::Sq, Rewrite::Mq, Rewrite::NativeRank]
+        .into_iter()
+        .map(|rewrite| {
+            let choice = pqp_core::strategy::build_execution(&db, &p, rewrite, None).unwrap();
+            assert_eq!(choice.rewrite, rewrite, "no fallback: the shape is supported");
+            let rs = db.run_plan(&choice.plan).unwrap();
+            rs.rows.into_iter().map(|r| r.into_iter().map(|v| v.to_string()).collect()).collect()
+        })
+        .collect();
+    let expect: BTreeSet<Vec<String>> =
+        [vec!["Alpha".to_string()], vec!["Beta".to_string()]].into_iter().collect();
+    assert_eq!(answers[1], expect, "MQ: both comedies");
+    assert_eq!(answers[0], answers[1], "SQ ≡ MQ\nSQ: {}", p.sq().unwrap());
+    assert_eq!(answers[2], answers[1], "native ≡ MQ");
 }
