@@ -5,9 +5,9 @@
 //! the operator loops pays its real cost.
 //!
 //! Writes `results/micro_governor.json` with a `derived` block holding the
-//! measured overhead percentage. Target: < 2% on the 4-way join (the
-//! charges are batched at `CHARGE_BATCH_ROWS` and checkpoints strided, so
-//! the per-row cost is a couple of atomic adds).
+//! measured overhead percentage. Target: < 2% on the 4-way join (rows are
+//! charged once per batch and checkpoints strided, so the per-row cost is
+//! a couple of atomic adds).
 
 use pqp_bench::microbench::{write_metrics_json, MicroBench};
 use pqp_datagen::{generate, MovieDbConfig};

@@ -1,17 +1,14 @@
-//! Micro-benchmarks of batched (vectorized) execution versus the
-//! tuple-at-a-time reference path: the 4-way join over the movies schema
-//! (THEATRE ⋈ PLAY ⋈ MOVIE ⋈ GENRE), a broad filtered scan, and a
-//! selective filtered scan, each run with `ExecOptions::batched(true)` and
-//! `batched(false)` under the same serial budget.
+//! Micro-benchmarks of the batched (vectorized) executor: the 4-way join
+//! over the movies schema (THEATRE ⋈ PLAY ⋈ MOVIE ⋈ GENRE), a broad
+//! filtered scan, and a selective filtered scan, each run under a serial
+//! budget.
 //!
 //! The fixture deliberately carries **no indexes** and is ANALYZE'd, so
-//! every plan is pure Scan/Filter/HashJoin — the operators the batched path
-//! vectorizes — rather than the index paths both modes share. Both modes
-//! are asserted row-identical before timing.
+//! every plan is pure Scan/Filter/HashJoin — the vectorized operators —
+//! rather than the index paths.
 //!
 //! Writes `results/micro_vectorized.json` with a `derived` block holding
-//! `join4_vectorized_speedup` (the ISSUE's ≥ 2x target), the scan speedups
-//! and `host_cores`.
+//! the join output size and `host_cores`.
 
 use pqp_bench::microbench::{write_metrics_json, MicroBench};
 use pqp_datagen::Zipf;
@@ -137,39 +134,22 @@ fn main() {
     let join_plan = db.plan(&parse_query(FOUR_WAY_JOIN).unwrap()).unwrap();
     let broad_plan = db.plan(&parse_query(BROAD_SCAN).unwrap()).unwrap();
     let sel_plan = db.plan(&parse_query(SELECTIVE_SCAN).unwrap()).unwrap();
-    let tuple = ExecOptions::serial().batched(false);
-    let batched = ExecOptions::serial().batched(true);
+    let serial = ExecOptions::serial();
 
-    // Both modes must agree exactly before either is worth timing.
-    let join_rows = db.run_plan_with(&join_plan, &tuple).unwrap().rows;
-    assert_eq!(
-        join_rows,
-        db.run_plan_with(&join_plan, &batched).unwrap().rows,
-        "batched join diverged from tuple join"
-    );
-    for plan in [&broad_plan, &sel_plan] {
-        assert_eq!(
-            db.run_plan_with(plan, &tuple).unwrap().rows,
-            db.run_plan_with(plan, &batched).unwrap().rows,
-            "batched scan diverged from tuple scan"
-        );
-    }
+    let join_rows = db.run_plan_with(&join_plan, &serial).unwrap().rows;
     println!("4-way join output: {} rows", join_rows.len());
 
     let mut group = MicroBench::new("vectorized").sample_size(20);
-    group.bench("join4_tuple", || db.run_plan_with(&join_plan, &tuple).unwrap());
-    group.bench("join4_batched", || db.run_plan_with(&join_plan, &batched).unwrap());
-    group.bench("scan_broad_tuple", || db.run_plan_with(&broad_plan, &tuple).unwrap());
-    group.bench("scan_broad_batched", || db.run_plan_with(&broad_plan, &batched).unwrap());
-    group.bench("scan_selective_tuple", || db.run_plan_with(&sel_plan, &tuple).unwrap());
-    group.bench("scan_selective_batched", || db.run_plan_with(&sel_plan, &batched).unwrap());
+    group.bench("join4_batched", || db.run_plan_with(&join_plan, &serial).unwrap());
+    group.bench("scan_broad_batched", || db.run_plan_with(&broad_plan, &serial).unwrap());
+    group.bench("scan_selective_batched", || db.run_plan_with(&sel_plan, &serial).unwrap());
 
     let dir = workspace_results_dir();
     match group.write_json(&dir) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("failed to write micro_vectorized.json: {err}"),
     }
-    annotate_speedups(&dir.join("micro_vectorized.json"), join_rows.len());
+    annotate(&dir.join("micro_vectorized.json"), join_rows.len());
     match write_metrics_json(&dir) {
         Ok(path) => eprintln!("wrote {}", path.display()),
         Err(err) => eprintln!("failed to write metrics.json: {err}"),
@@ -184,43 +164,15 @@ fn workspace_results_dir() -> PathBuf {
         .join("results")
 }
 
-/// Re-open the written JSON and add a `derived` block: batched-over-tuple
-/// speedups per workload, the join output size, and the host's core count
-/// (serial benchmarks, but recorded for apples-to-apples comparisons with
-/// `micro_parallel.json`).
-fn annotate_speedups(path: &Path, join_rows: usize) {
+/// Re-open the written JSON and add a `derived` block: the join output
+/// size and the host's core count (serial benchmarks, but recorded for
+/// apples-to-apples comparisons with `micro_parallel.json`).
+fn annotate(path: &Path, join_rows: usize) {
     let Ok(text) = std::fs::read_to_string(path) else { return };
     let Ok(doc) = Json::parse(&text) else { return };
-    let mean = |name: &str| -> Option<f64> {
-        doc.get("benchmarks")?
-            .as_array()?
-            .iter()
-            .find_map(|b| (b.get("name")?.as_str()? == name).then(|| b.get("mean_ms")?.as_f64())?)
-    };
-    let (Some(jt), Some(jb), Some(bt), Some(bb), Some(st), Some(sb)) = (
-        mean("join4_tuple"),
-        mean("join4_batched"),
-        mean("scan_broad_tuple"),
-        mean("scan_broad_batched"),
-        mean("scan_selective_tuple"),
-        mean("scan_selective_batched"),
-    ) else {
-        return;
-    };
     let host_cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    let derived = Json::obj()
-        .set("join4_vectorized_speedup", jt / jb)
-        .set("scan_broad_vectorized_speedup", bt / bb)
-        .set("scan_selective_vectorized_speedup", st / sb)
-        .set("join4_rows", join_rows as i64)
-        .set("host_cores", host_cores as i64);
-    println!(
-        "vectorized speedup: {:.2}x (4-way join), {:.2}x (broad scan), {:.2}x (selective scan) \
-         [host cores: {host_cores}]",
-        jt / jb,
-        bt / bb,
-        st / sb
-    );
+    let derived =
+        Json::obj().set("join4_rows", join_rows as i64).set("host_cores", host_cores as i64);
     let doc = doc.set("derived", derived);
     let _ = std::fs::write(path, doc.pretty());
 }

@@ -1,52 +1,48 @@
-//! The executor: evaluates a [`Plan`] to a materialized row set.
+//! Plan execution: the entry points, the execution options, and the row
+//! helpers the batched executor delegates to.
 //!
-//! Execution is operator-at-a-time over materialized intermediates — the
-//! right trade-off for an in-memory engine whose workloads (the paper's
-//! experiments) are join-heavy but small-intermediate. Joins hash the
-//! smaller side; grouping and duplicate elimination preserve first-seen
-//! order so results are deterministic.
-//!
-//! By default ([`ExecOptions::batched`]) the hot path — scan, filter,
-//! project, hash-join probe, limit — runs column-oriented over
-//! [`pqp_storage::Batch`]es of ~[`pqp_storage::BATCH_SIZE`] rows in the
-//! `vexec` module, which produces byte-identical rows to the
-//! tuple-at-a-time functions in this module (the `PQP_BATCHED=0` escape
-//! hatch and the differential tests hold it to that). This module remains
-//! the reference semantics: `vexec` falls back to the row helpers here for
-//! every operator it does not vectorize.
+//! Every plan runs on the batched (vectorized) executor in the `vexec`
+//! module: scans, filters, projections, hash joins, index scans and
+//! index-nested-loop joins process column-oriented [`pqp_storage::Batch`]es
+//! of ~[`pqp_storage::BATCH_SIZE`] rows. The operators that are not
+//! vectorized — aggregate, sort, distinct and cross join — materialize their
+//! input and run the row helpers in this module; grouping and duplicate
+//! elimination preserve first-seen order so results are deterministic. This
+//! module also holds the access-path decisions the executor shares with the
+//! planner (the indexed-equality conjunct of a scan, the runtime index-join
+//! sniff and its 4× probe-size guard).
 //!
 //! ## Intra-query parallelism
 //!
 //! [`execute_with`] accepts an [`ExecOptions`] thread budget. When
 //! `threads > 1` and an operator's input is at least
 //! [`ExecOptions::min_parallel_rows`], table scans, filters, projections and
-//! hash joins run partitioned across `std::thread::scope` workers (the
-//! private `par` module). Partitions are always merged **in partition
-//! order**, so
-//! parallel execution preserves the engine's deterministic first-seen
-//! ordering contract: for any plan, `execute_with(plan, catalog, opts)`
-//! returns byte-identical rows to the serial [`execute`]. Small inputs and
-//! `threads <= 1` take the serial fast path and never spawn.
+//! hash-join probes run partitioned across `std::thread::scope` workers
+//! (the private `par` module holds the worker plumbing). Partitions are
+//! always merged **in partition order**, so parallel execution preserves
+//! the engine's deterministic first-seen ordering contract: for any plan,
+//! `execute_with(plan, catalog, opts)` returns byte-identical rows to the
+//! serial [`execute`]. Small inputs and `threads <= 1` take the serial fast
+//! path and never spawn.
 //!
 //! ## The query governor
 //!
 //! [`execute_ctx`] additionally threads a [`QueryCtx`] through every
 //! operator. Execution is *cooperative*: each operator checkpoints at its
-//! entry, base-table scans charge rows in batches of
-//! [`pqp_obs::governor::CHARGE_BATCH_ROWS`], non-scan loops checkpoint
-//! every [`pqp_obs::governor::CHECKPOINT_STRIDE`] iterations, and
-//! row-materializing operators (joins, cross products, projections) charge
-//! an estimated [`pqp_obs::approx_row_bytes`] per output row. A tripped
-//! budget aborts the query with [`EngineError::Budget`](crate::EngineError::Budget) carrying
+//! entry, base-table scans and index fetches charge every fetched row at
+//! each batch boundary, non-scan loops checkpoint per batch or every
+//! [`pqp_obs::governor::CHECKPOINT_STRIDE`] iterations, and
+//! row-materializing operators (joins, cross products) charge their output
+//! memory. A tripped budget aborts the query with
+//! [`EngineError::Budget`](crate::EngineError::Budget) carrying
 //! partial-progress counters; parallel workers observe the same shared
 //! context, so a trip in one worker stops the others at their next
 //! checkpoint and the scope joins everything — no leaked threads.
 
 use crate::bound::BoundExpr;
-use crate::error::{bind_err, failpoint, Result};
-use crate::par;
+use crate::error::{bind_err, Result};
 use crate::plan::Plan;
-use pqp_obs::governor::{CHARGE_BATCH_ROWS, CHECKPOINT_STRIDE};
+use pqp_obs::governor::CHECKPOINT_STRIDE;
 use pqp_obs::{approx_row_bytes, QueryCtx};
 use pqp_sql::BinaryOp;
 use pqp_storage::{Catalog, Row, Table, Value};
@@ -62,24 +58,18 @@ pub const DEFAULT_MIN_PARALLEL_ROWS: usize = 4096;
 /// Execution options: the intra-query thread budget.
 ///
 /// The default is strictly serial (`threads: 1`), which is also the fast
-/// path: with `threads <= 1` no thread is ever spawned and the executor
-/// behaves exactly as it did before parallelism existed.
+/// path: with `threads <= 1` no thread is ever spawned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Worker-thread budget per parallel operator. `<= 1` means serial.
     pub threads: usize,
     /// Inputs below this row count stay serial even when `threads > 1`.
     pub min_parallel_rows: usize,
-    /// Process rows in column-oriented batches (`crate::vexec`) instead of
-    /// one boxed tuple at a time. On by default; both paths return
-    /// byte-identical rows, so this is a performance escape hatch, not a
-    /// semantic switch.
-    pub batched: bool,
 }
 
 impl Default for ExecOptions {
     fn default() -> ExecOptions {
-        ExecOptions { threads: 1, min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS, batched: true }
+        ExecOptions { threads: 1, min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS }
     }
 }
 
@@ -101,26 +91,14 @@ impl ExecOptions {
         self
     }
 
-    /// Disable or re-enable batched execution (builder-style).
-    pub fn batched(mut self, on: bool) -> ExecOptions {
-        self.batched = on;
-        self
-    }
-
     /// Read the thread budget from the `PQP_THREADS` environment variable
-    /// (serial when unset or unparsable) and the execution mode from
-    /// `PQP_BATCHED` (`0`, `false` or `off` select the tuple-at-a-time
-    /// path; anything else, including unset, keeps batching on).
+    /// (serial when unset or unparsable).
     pub fn from_env() -> ExecOptions {
         let threads = std::env::var("PQP_THREADS")
             .ok()
             .and_then(|s| s.trim().parse::<usize>().ok())
             .unwrap_or(1);
-        let batched = match std::env::var("PQP_BATCHED") {
-            Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "0" | "false" | "off"),
-            Err(_) => true,
-        };
-        ExecOptions::with_threads(threads).batched(batched)
+        ExecOptions::with_threads(threads)
     }
 
     /// Whether any operator may go parallel under this budget.
@@ -165,36 +143,14 @@ pub fn execute_with(plan: &Plan, catalog: &Catalog, opts: &ExecOptions) -> Resul
 /// Execute a plan under a thread budget **and** a query-governor context:
 /// deadline / rows-scanned / memory limits are checked cooperatively at
 /// operator loop boundaries, and an exceeded budget aborts with
-/// [`EngineError::Budget`](crate::EngineError::Budget)(crate::EngineError::Budget).
+/// [`EngineError::Budget`](crate::EngineError::Budget).
 pub fn execute_ctx(
     plan: &Plan,
     catalog: &Catalog,
     opts: &ExecOptions,
     ctx: &QueryCtx,
 ) -> Result<Vec<Row>> {
-    let env = Env { catalog, opts, ctx };
-    if opts.batched {
-        crate::vexec::run_root(&env, plan)
-    } else {
-        run(&env, plan)
-    }
-}
-
-/// The recursive workhorse: span + estimate bookkeeping around
-/// [`execute_op`], plus the per-operator governor checkpoint.
-pub(crate) fn run(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
-    env.ctx.checkpoint()?;
-    let _span = pqp_obs::span(op_name(plan));
-    if pqp_obs::trace_active() {
-        // Planner estimate alongside the actual rows_out: EXPLAIN ANALYZE
-        // consumers compute per-operator Q-error from the pair. Only paid
-        // when a trace is being collected.
-        let est = crate::cost::Estimator::new(env.catalog).rows(plan);
-        pqp_obs::record("est_rows", est.round() as i64);
-    }
-    let rows = execute_op(env, plan)?;
-    pqp_obs::record("rows_out", rows.len());
-    Ok(rows)
+    crate::vexec::run_root(&Env { catalog, opts, ctx }, plan)
 }
 
 pub(crate) fn op_name(plan: &Plan) -> &'static str {
@@ -216,143 +172,9 @@ pub(crate) fn op_name(plan: &Plan) -> &'static str {
     }
 }
 
-fn execute_op(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
-    let ctx = env.ctx;
-    match plan {
-        Plan::Empty { .. } => Ok(Vec::new()),
-        Plan::Scan { table, filter, .. } => {
-            pqp_obs::record("table", table.as_str());
-            scan(env, table, filter.as_ref())
-        }
-        Plan::IndexScan { table, column, key, residual, .. } => {
-            pqp_obs::record("table", table.as_str());
-            index_scan(env, table, column, key, residual.as_ref())
-        }
-        Plan::IndexJoin { probe, probe_key, table, column, filter, probe_is_left, .. } => {
-            let probe_rows = run(env, probe)?;
-            index_join(env, probe_rows, *probe_key, table, column, filter.as_ref(), *probe_is_left)
-        }
-        Plan::Filter { input, predicate } => {
-            let rows = run(env, input)?;
-            pqp_obs::record("rows_in", rows.len());
-            filter_rows(env, rows, predicate)
-        }
-        Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            // Index-nested-loop when one side is a base-table scan with a
-            // hash index on its (single) join column and the other side is
-            // small relative to it — the access path that makes selective
-            // personalized partials cheap (paper §7, Fig. 10).
-            if right_keys.len() == 1 {
-                if let Some(rows) = try_index_join(
-                    env, left, right, left_keys, right_keys, /*probe_left=*/ true,
-                )? {
-                    return Ok(rows);
-                }
-                if let Some(rows) = try_index_join(
-                    env, right, left, right_keys, left_keys, /*probe_left=*/ false,
-                )? {
-                    return Ok(rows);
-                }
-            }
-            let lrows = run(env, left)?;
-            let rrows = run(env, right)?;
-            pqp_obs::record("left_rows", lrows.len());
-            pqp_obs::record("right_rows", rrows.len());
-            join_rows(env, lrows, rrows, left_keys, right_keys)
-        }
-        Plan::CrossJoin { left, right, .. } => {
-            let lrows = run(env, left)?;
-            let rrows = run(env, right)?;
-            pqp_obs::record("left_rows", lrows.len());
-            pqp_obs::record("right_rows", rrows.len());
-            cross_join_rows(ctx, lrows, rrows)
-        }
-        Plan::Project { input, exprs, .. } => {
-            let rows = run(env, input)?;
-            project_rows(env, rows, exprs)
-        }
-        Plan::Aggregate { input, group_by, aggs, .. } => {
-            let rows = run(env, input)?;
-            pqp_obs::record("rows_in", rows.len());
-            aggregate(rows, group_by, aggs, ctx)
-        }
-        Plan::Distinct { input } => {
-            let rows = run(env, input)?;
-            distinct_rows(ctx, rows)
-        }
-        Plan::Sort { input, keys } => {
-            let mut rows = run(env, input)?;
-            sort_rows(&mut rows, keys);
-            Ok(rows)
-        }
-        Plan::Limit { input, n } => {
-            let mut rows = run(env, input)?;
-            rows.truncate(*n as usize);
-            Ok(rows)
-        }
-        Plan::Union { inputs, all, .. } => {
-            let mut out = Vec::new();
-            for i in inputs {
-                out.extend(run(env, i)?);
-                ctx.checkpoint()?;
-            }
-            if !*all {
-                let mut seen = HashSet::with_capacity(out.len());
-                out.retain(|row| seen.insert(row.clone()));
-            }
-            Ok(out)
-        }
-        Plan::TopK { base, probes, visible, matching, rank, limit, .. } => {
-            crate::topk::execute(env, base, probes, *visible, matching, *rank, *limit)
-        }
-    }
-}
-
-/// Execute a [`Plan::IndexScan`]: an index point lookup plus residual
-/// filter, falling back to a full scan (with the reconstructed predicate)
-/// when the index was dropped after planning.
-fn index_scan(
-    env: &Env,
-    table: &str,
-    column: &str,
-    key: &Value,
-    residual: Option<&BoundExpr>,
-) -> Result<Vec<Row>> {
-    let ctx = env.ctx;
-    let t = env.catalog.table(table)?;
-    let t = t.read();
-    match t.index_lookup(column, key) {
-        Some(hits) => {
-            pqp_obs::record("strategy", "index_scan");
-            let mut out = Vec::new();
-            let mut pending = 0u64;
-            for row in hits? {
-                pending += 1;
-                if pending == CHARGE_BATCH_ROWS {
-                    ctx.charge_rows(pending)?;
-                    pending = 0;
-                }
-                if let Some(f) = residual {
-                    if !f.eval_predicate(&row)? {
-                        continue;
-                    }
-                }
-                out.push(row);
-            }
-            ctx.charge_rows(pending)?;
-            Ok(out)
-        }
-        None => {
-            let pred = index_scan_predicate(&t, column, key, residual)?;
-            drop(t);
-            scan(env, table, Some(&pred))
-        }
-    }
-}
-
 /// The full pushed-down predicate of a [`Plan::IndexScan`],
 /// `column = key AND residual`: what a scan must apply instead when the
-/// index was dropped after planning. Shared by the tuple and batched paths.
+/// index was dropped after planning.
 pub(crate) fn index_scan_predicate(
     t: &Table,
     column: &str,
@@ -378,7 +200,7 @@ pub(crate) fn index_scan_predicate(
 /// The first `col = literal` conjunct of a pushed-down filter (non-NULL
 /// literal) whose column has a hash index, as (column name, key). A scan
 /// with such a conjunct is served by an index lookup plus the whole filter
-/// instead of a heap scan; both scan paths take this shortcut.
+/// instead of a heap scan.
 pub(crate) fn indexed_eq_conjunct<'t, 'f>(
     t: &'t Table,
     f: &'f BoundExpr,
@@ -391,71 +213,6 @@ pub(crate) fn indexed_eq_conjunct<'t, 'f>(
         let name = t.schema().columns[col].name.as_str();
         t.index_on(name).is_some().then_some((name, value))
     })
-}
-
-/// Serve a filtered scan through a hash index (see
-/// [`indexed_eq_conjunct`]). `Ok(None)` means no indexed equality conjunct:
-/// the caller falls through to a full heap scan.
-fn scan_index_shortcut(t: &Table, f: &BoundExpr, ctx: &QueryCtx) -> Result<Option<Vec<Row>>> {
-    let Some(hits) = indexed_eq_conjunct(t, f).and_then(|(name, key)| t.index_lookup(name, key))
-    else {
-        return Ok(None);
-    };
-    let mut out = Vec::new();
-    let mut pending = 0u64;
-    for row in hits? {
-        pending += 1;
-        if pending == CHARGE_BATCH_ROWS {
-            ctx.charge_rows(pending)?;
-            pending = 0;
-        }
-        if f.eval_predicate(&row)? {
-            out.push(row);
-        }
-    }
-    ctx.charge_rows(pending)?;
-    Ok(Some(out))
-}
-
-/// Scan a base table, using a hash index for an equality conjunct of the
-/// pushed-down filter when one exists; otherwise a full (possibly
-/// partitioned-parallel) heap scan.
-pub(crate) fn scan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Vec<Row>> {
-    let ctx = env.ctx;
-    let t = env.catalog.table(table)?;
-    let t = t.read();
-    if let Some(f) = filter {
-        if let Some(out) = scan_index_shortcut(&t, f, ctx)? {
-            return Ok(out);
-        }
-    }
-    if let Some(parts) = env.opts.partitions_for(t.len()) {
-        // Morsel unit is a page: at most one partition per page.
-        let parts = parts.min(t.page_count());
-        if parts >= 2 {
-            return par::scan_partitioned(&t, filter, parts, ctx);
-        }
-    }
-    let mut out = Vec::with_capacity(t.len());
-    let mut pending = 0u64;
-    for (_, row) in t.iter() {
-        let row = row?;
-        pending += 1;
-        if pending == CHARGE_BATCH_ROWS {
-            ctx.charge_rows(pending)?;
-            pending = 0;
-        }
-        match filter {
-            Some(f) => {
-                if f.eval_predicate(&row)? {
-                    out.push(row);
-                }
-            }
-            None => out.push(row),
-        }
-    }
-    ctx.charge_rows(pending)?;
-    Ok(out)
 }
 
 /// Top-level conjuncts of a bound expression.
@@ -484,46 +241,6 @@ pub(crate) fn as_eq_literal(e: &BoundExpr) -> Option<(usize, &Value)> {
         (BoundExpr::Literal(v), BoundExpr::Column(c)) => Some((*c, v)),
         _ => None,
     }
-}
-
-/// Tuple-at-a-time filter over materialized rows, parallel when the budget
-/// allows.
-pub(crate) fn filter_rows(env: &Env, rows: Vec<Row>, predicate: &BoundExpr) -> Result<Vec<Row>> {
-    let ctx = env.ctx;
-    if let Some(parts) = env.opts.partitions_for(rows.len()) {
-        return par::filter_partitioned(rows, predicate, parts, ctx);
-    }
-    let mut out = Vec::with_capacity(rows.len() / 2);
-    for (i, row) in rows.into_iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
-        }
-        if predicate.eval_predicate(&row)? {
-            out.push(row);
-        }
-    }
-    Ok(out)
-}
-
-/// Tuple-at-a-time projection over materialized rows, parallel when the
-/// budget allows.
-pub(crate) fn project_rows(env: &Env, rows: Vec<Row>, exprs: &[BoundExpr]) -> Result<Vec<Row>> {
-    let ctx = env.ctx;
-    if let Some(parts) = env.opts.partitions_for(rows.len()) {
-        return par::project_partitioned(rows, exprs, parts, ctx);
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.into_iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
-        }
-        let mut projected = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            projected.push(e.eval(&row)?);
-        }
-        out.push(projected);
-    }
-    Ok(out)
 }
 
 /// Cartesian product of two materialized sides.
@@ -586,7 +303,7 @@ pub(crate) fn sort_rows(rows: &mut [Row], keys: &[(usize, bool)]) {
     });
 }
 
-/// The runtime index-join sniff's shape test, shared by both executors:
+/// The runtime index-join sniff's shape test:
 /// `scan_side` is a base-table scan whose (single) join column has a hash
 /// index, on a table without statistics — for analyzed tables the planner
 /// owns the index-join decision ([`Plan::IndexJoin`]), so this runtime
@@ -627,223 +344,6 @@ pub(crate) struct IndexedSide<'p> {
 /// (otherwise hashing wins).
 pub(crate) fn index_probe_pays(probe_rows: usize, table_rows: usize) -> bool {
     probe_rows * 4 <= table_rows
-}
-
-/// Index-nested-loop join: execute `probe`, and for each probe row fetch
-/// matches from `scan_side` (see [`sniff_index_join`]). Returns `None` when
-/// the shape does not apply.
-fn try_index_join(
-    env: &Env,
-    probe: &Plan,
-    scan_side: &Plan,
-    probe_keys: &[usize],
-    scan_keys: &[usize],
-    probe_is_left: bool,
-) -> Result<Option<Vec<Row>>> {
-    let Some(IndexedSide { table, filter, column, rows }) =
-        sniff_index_join(env, scan_side, scan_keys)?
-    else {
-        return Ok(None);
-    };
-    let probe_rows = run(env, probe)?;
-    if !index_probe_pays(probe_rows.len(), rows) {
-        // Fall back by handing the already-computed probe rows to a hash
-        // join (avoid re-executing the probe subtree).
-        let scan_rows = scan(env, table, filter)?;
-        let rows =
-            hash_join_oriented(env, probe_rows, scan_rows, probe_keys, scan_keys, probe_is_left)?;
-        return Ok(Some(rows));
-    }
-    let t = env.catalog.table(table)?;
-    let t = t.read();
-    index_probe(env.ctx, &t, &column, &probe_rows, probe_keys[0], filter, probe_is_left)
-}
-
-/// Execute a planner-chosen [`Plan::IndexJoin`]'s scan side against
-/// already-materialized probe rows. Keeps the executor's runtime guard:
-/// when the probe side turns out large relative to the table, or the index
-/// is missing at runtime, fall back to hashing.
-#[allow(clippy::too_many_arguments)]
-fn index_join(
-    env: &Env,
-    probe_rows: Vec<Row>,
-    probe_key: usize,
-    table: &str,
-    column: &str,
-    filter: Option<&BoundExpr>,
-    probe_is_left: bool,
-) -> Result<Vec<Row>> {
-    pqp_obs::record("table", table);
-    let tref = env.catalog.table(table)?;
-    let t = tref.read();
-    let Some(scan_key) = t.schema().column_index(column) else {
-        return bind_err(format!("unknown column `{column}` in `{table}`"));
-    };
-    if t.index_on(column).is_some() && index_probe_pays(probe_rows.len(), t.len()) {
-        if let Some(rows) =
-            index_probe(env.ctx, &t, column, &probe_rows, probe_key, filter, probe_is_left)?
-        {
-            return Ok(rows);
-        }
-    }
-    drop(t);
-    pqp_obs::record("strategy", "hash_fallback");
-    let scan_rows = scan(env, table, filter)?;
-    hash_join_oriented(env, probe_rows, scan_rows, &[probe_key], &[scan_key], probe_is_left)
-}
-
-/// Probe `t`'s hash index on `column` with each probe row's `probe_key`
-/// value, assembling output rows in the engine's fixed `left ++ right`
-/// column order. Returns `Ok(None)` if the index disappears mid-probe.
-fn index_probe(
-    ctx: &QueryCtx,
-    t: &Table,
-    column: &str,
-    probe_rows: &[Row],
-    probe_key: usize,
-    filter: Option<&BoundExpr>,
-    probe_is_left: bool,
-) -> Result<Option<Vec<Row>>> {
-    pqp_obs::record("strategy", "index_nested_loop");
-    pqp_obs::record("probe_rows", probe_rows.len());
-    let mut out = Vec::new();
-    let mut pending = 0u64;
-    for (i, prow) in probe_rows.iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
-        }
-        let key = &prow[probe_key];
-        if key.is_null() {
-            continue;
-        }
-        let Some(hits) = t.index_lookup(column, key) else {
-            return Ok(None);
-        };
-        for hit in hits? {
-            // Index probes read base-table rows: charge them like a scan.
-            pending += 1;
-            if pending == CHARGE_BATCH_ROWS {
-                ctx.charge_rows(pending)?;
-                pending = 0;
-            }
-            if let Some(f) = filter {
-                if !f.eval_predicate(&hit)? {
-                    continue;
-                }
-            }
-            let mut row;
-            if probe_is_left {
-                row = prow.clone();
-                row.extend(hit);
-            } else {
-                row = hit;
-                row.extend(prow.iter().cloned());
-            }
-            out.push(row);
-        }
-    }
-    ctx.charge_rows(pending)?;
-    Ok(Some(out))
-}
-
-/// Hash-join a probe-side and a scan-side row set whose plan-tree
-/// orientation is given by `probe_is_left`, producing rows in the engine's
-/// fixed `left ++ right` column order either way. The single place that
-/// knows how to un-swap a join whose sides were reordered by an access-path
-/// decision — both `try_index_join` fallbacks and the parallel join route
-/// through it.
-fn hash_join_oriented(
-    env: &Env,
-    probe_rows: Vec<Row>,
-    scan_rows: Vec<Row>,
-    probe_keys: &[usize],
-    scan_keys: &[usize],
-    probe_is_left: bool,
-) -> Result<Vec<Row>> {
-    if probe_is_left {
-        join_rows(env, probe_rows, scan_rows, probe_keys, scan_keys)
-    } else {
-        join_rows(env, scan_rows, probe_rows, scan_keys, probe_keys)
-    }
-}
-
-/// Join two materialized sides, choosing the partitioned-parallel hash join
-/// when the thread budget and input size allow, the serial one otherwise.
-/// Both produce identical rows in identical order (probe order, and
-/// build-insertion order within one key).
-pub(crate) fn join_rows(
-    env: &Env,
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-    left_keys: &[usize],
-    right_keys: &[usize],
-) -> Result<Vec<Row>> {
-    failpoint("join.build")?;
-    if let Some(parts) = env.opts.partitions_for(lrows.len() + rrows.len()) {
-        return par::hash_join_partitioned(lrows, rrows, left_keys, right_keys, parts, env.ctx);
-    }
-    hash_join(lrows, rrows, left_keys, right_keys, env.ctx)
-}
-
-pub(crate) fn key_of(row: &Row, keys: &[usize]) -> Option<Vec<Value>> {
-    let mut out = Vec::with_capacity(keys.len());
-    for &k in keys {
-        let v = &row[k];
-        // SQL equi-join semantics: NULL never matches.
-        if v.is_null() {
-            return None;
-        }
-        out.push(v.clone());
-    }
-    Some(out)
-}
-
-fn hash_join(
-    lrows: Vec<Row>,
-    rrows: Vec<Row>,
-    left_keys: &[usize],
-    right_keys: &[usize],
-    ctx: &QueryCtx,
-) -> Result<Vec<Row>> {
-    // Build on the smaller side; output column order is always left ++ right.
-    let build_left = lrows.len() <= rrows.len();
-    let (build, probe, build_keys, probe_keys) = if build_left {
-        (&lrows, &rrows, left_keys, right_keys)
-    } else {
-        (&rrows, &lrows, right_keys, left_keys)
-    };
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.len());
-    for (i, row) in build.iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.checkpoint()?;
-        }
-        if let Some(k) = key_of(row, build_keys) {
-            table.entry(k).or_default().push(i);
-        }
-    }
-    let mut out = Vec::new();
-    let mut pending_mem = 0u64;
-    for (i, prow) in probe.iter().enumerate() {
-        if i & (CHECKPOINT_STRIDE - 1) == 0 {
-            ctx.charge_mem(pending_mem)?;
-            pending_mem = 0;
-        }
-        let Some(k) = key_of(prow, probe_keys) else {
-            continue;
-        };
-        if let Some(matches) = table.get(&k) {
-            for &bi in matches {
-                let brow = &build[bi];
-                let (l, r) = if build_left { (brow, prow) } else { (prow, brow) };
-                let mut row = l.clone();
-                row.extend(r.iter().cloned());
-                pending_mem += approx_row_bytes(row.len());
-                out.push(row);
-            }
-        }
-    }
-    ctx.charge_mem(pending_mem)?;
-    Ok(out)
 }
 
 pub(crate) fn aggregate(

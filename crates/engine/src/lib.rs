@@ -5,12 +5,18 @@
 //!
 //! Pipeline: `parse → OR-expansion rewrite → plan (bind + push down + join
 //! order) → execute`. See [`rewrite`] for why OR-expansion matters to the
-//! reproduction, and [`naive`] for the differential-testing oracle.
+//! reproduction.
+//!
+//! Plans run on one executor, which processes column-oriented batches
+//! (see [`exec`]). The naive AST interpreter in [`naive`] shares no
+//! operator code with it (only scalar operator semantics and aggregate
+//! functions) and is the oracle the differential suites check it against.
 //!
 //! Execution is serial by default; pass an [`ExecOptions`] thread budget to
 //! [`Database::run_plan_with`] for intra-query parallelism (partitioned
-//! scans, filters, projections and hash joins — see the parallelism notes
-//! in [`exec`]). Parallel execution preserves the serial row order exactly.
+//! scans, filters, projections and hash-join probes — see the parallelism
+//! notes in [`exec`]). Parallel execution preserves the serial row order
+//! exactly.
 //!
 //! ```
 //! use pqp_engine::{Database, ExecOptions};

@@ -143,21 +143,16 @@ pub(crate) fn execute(
     // first-seen order. Batched inputs checkpoint at batch boundaries.
     let mut groups: Vec<Group> = Vec::new();
     let mut index: HashMap<Row, usize> = HashMap::new();
-    if env.opts.batched {
-        match crate::vexec::run_b(env, base)? {
-            crate::vexec::Out::B(bats) => {
-                for b in &bats {
-                    env.ctx.checkpoint()?;
-                    let mut rows = Vec::with_capacity(b.len());
-                    b.append_rows(&mut rows);
-                    ingest(env, rows, visible, &mut groups, &mut index)?;
-                }
+    match crate::vexec::run_b(env, base)? {
+        crate::vexec::Out::B(bats) => {
+            for b in &bats {
+                env.ctx.checkpoint()?;
+                let mut rows = Vec::with_capacity(b.len());
+                b.append_rows(&mut rows);
+                ingest(env, rows, visible, &mut groups, &mut index)?;
             }
-            crate::vexec::Out::R(rows) => ingest(env, rows, visible, &mut groups, &mut index)?,
         }
-    } else {
-        let rows = exec::run(env, base)?;
-        ingest(env, rows, visible, &mut groups, &mut index)?;
+        crate::vexec::Out::R(rows) => ingest(env, rows, visible, &mut groups, &mut index)?,
     }
     drop(index);
     pqp_obs::record("groups", groups.len());
@@ -362,8 +357,7 @@ fn ingest(
 /// Execute a witness sub-plan and collect its single output column into a
 /// membership set. NULLs are excluded: SQL equality never matches them.
 fn witness_set(env: &Env, plan: &Plan) -> Result<HashSet<Value>> {
-    let rows =
-        if env.opts.batched { crate::vexec::run_root(env, plan)? } else { exec::run(env, plan)? };
+    let rows = crate::vexec::run_root(env, plan)?;
     let mut set = HashSet::with_capacity(rows.len());
     let mut bytes: u64 = 0;
     for row in rows {

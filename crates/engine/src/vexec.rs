@@ -1,4 +1,4 @@
-//! Batched (vectorized) execution: the default hot path of the executor.
+//! Batched (vectorized) execution: the engine's executor.
 //!
 //! Operators here process column-oriented [`Batch`]es of
 //! ~[`pqp_storage::BATCH_SIZE`] rows instead of one boxed tuple at a time:
@@ -12,40 +12,42 @@
 //! [`Table::get_raw`]), and a join splices each batch of hits with the
 //! probe rows they matched through a probe selection vector.
 //!
-//! ## Equivalence contract
+//! ## Determinism contract
 //!
-//! For every plan, [`run_root`] returns **byte-identical rows in identical
-//! order** to the tuple-at-a-time `exec::run`, under any thread budget. The
-//! mechanics:
+//! For every plan, [`run_root`] returns the same rows in the same order
+//! under any thread budget. The mechanics:
 //!
 //! - batches preserve scan order, and every operator consumes/emits batch
 //!   lists in order, so row order is the serial order by construction;
 //! - operators that are not vectorized (aggregate, sort, distinct, cross
-//!   join, union) materialize their input and delegate to the tuple
-//!   helpers in `exec` — same code, same semantics;
-//! - index paths make the tuple path's access-path decisions (the runtime
-//!   index-join sniff, the 4× probe-size guard, the dropped-index
-//!   fallbacks) from the same inputs, emit in probe order then index
-//!   order, and record the same span fields (`table`, `strategy`,
+//!   join, union, TopK) materialize their input and run the row helpers in
+//!   `exec`; a filter, projection or join above them re-batches their
+//!   output ([`Out::into_batches`]);
+//! - index paths take their access-path decisions (the runtime index-join
+//!   sniff, the 4× probe-size guard, the dropped-index fallbacks) from the
+//!   shared functions in `exec`, emit in probe order then index order, and
+//!   record their strategy on the span (`table`, `strategy`,
 //!   `probe_rows`);
 //! - expression evaluation defers to `crate::vexpr`, whose kernels are
-//!   provably exact or fall back to per-row `BoundExpr::eval`;
-//! - parallel paths reuse the `par` module's morsel layout: contiguous
+//!   identical to per-row `BoundExpr::eval` or fall back to it;
+//! - parallel paths use the `par` module's worker plumbing over contiguous
 //!   page-range scan partitions and contiguous batch chunks, always merged
 //!   in partition order.
+//!
+//! The differential suites hold this executor to the naive interpreter
+//! (`crate::naive`), which shares no operator code with it.
 //!
 //! ## Governor contract
 //!
 //! The **batch boundary is the governor checkpoint**: scans and index
 //! fetches charge rows per flushed batch (every fetched row, before any
-//! filter — the same total as the tuple path), hash joins charge each
-//! output batch's actual
+//! filter), hash joins charge each output batch's actual
 //! [`Batch::mem_bytes`], and every per-batch loop checkpoints between
-//! batches — at [`pqp_storage::BATCH_SIZE`] rows the granularity matches
-//! the tuple path's `CHARGE_BATCH_ROWS`/`CHECKPOINT_STRIDE` cadence, so
-//! budgets trip at the same operator with comparable partial-progress
-//! counters. The `join.build`, `storage.scan` and `par.worker` failpoints
-//! fire at the same sites as the tuple path.
+//! batches; row loops that do not see batches (index probes, join-map
+//! builds, the row helpers) checkpoint every
+//! [`pqp_obs::governor::CHECKPOINT_STRIDE`] iterations. The `join.build`,
+//! `storage.scan` and `par.worker` failpoints fire at the join build, the
+//! heap scan and each parallel worker's entry.
 
 use crate::bound::BoundExpr;
 use crate::error::{bind_err, failpoint, Result};
@@ -61,13 +63,10 @@ use pqp_storage::{
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-/// An operator's materialized output: batches while the plan stays on the
-/// vectorized path, rows once an operator has delegated to the tuple
-/// helpers (aggregate, sort, distinct, cross join, union, TopK).
-/// Downstream operators then stay row-oriented too, which is exactly the
-/// tuple path they delegate to — except an index join, which re-batches a
-/// row-oriented probe side ([`Out::into_batches`]) and always emits
-/// batches.
+/// An operator's materialized output: batches from the vectorized
+/// operators, rows from the row helpers (aggregate, sort, distinct, cross
+/// join, union, TopK). A vectorized operator over row output re-batches
+/// it ([`Out::into_batches`]).
 pub(crate) enum Out {
     B(Vec<Batch>),
     R(Vec<Row>),
@@ -107,20 +106,24 @@ impl Out {
     }
 }
 
-/// Execute a plan on the batched path, materializing all rows. The batched
-/// counterpart of `exec::run` — byte-identical output, same spans, same
-/// governor checkpoints.
+/// Execute a plan, materializing all rows.
 pub(crate) fn run_root(env: &Env, plan: &Plan) -> Result<Vec<Row>> {
     Ok(run_b(env, plan)?.into_rows())
 }
 
 /// The recursive workhorse: span + estimate bookkeeping around
-/// [`execute_vop`], plus the per-operator governor checkpoint (mirrors
-/// `exec::run` exactly so `EXPLAIN ANALYZE` output is path-independent).
+/// [`execute_vop`], plus the per-operator governor checkpoint.
+///
+/// Every operator runs under an observability span named `exec.<op>` with
+/// its output cardinality recorded, so a traced run yields per-operator
+/// rows and timings (`EXPLAIN ANALYZE`).
 pub(crate) fn run_b(env: &Env, plan: &Plan) -> Result<Out> {
     env.ctx.checkpoint()?;
     let _span = pqp_obs::span(exec::op_name(plan));
     if pqp_obs::trace_active() {
+        // Planner estimate alongside the actual rows_out: EXPLAIN ANALYZE
+        // consumers compute per-operator Q-error from the pair. Only paid
+        // when a trace is being collected.
         let est = crate::cost::Estimator::new(env.catalog).rows(plan);
         pqp_obs::record("est_rows", est.round() as i64);
     }
@@ -148,14 +151,14 @@ fn execute_vop(env: &Env, plan: &Plan) -> Result<Out> {
         Plan::Filter { input, predicate } => {
             let input = run_b(env, input)?;
             pqp_obs::record("rows_in", input.len());
-            match input {
-                Out::B(bats) => Ok(Out::B(map_batches(env, bats, |b| filter_one(b, predicate))?)),
-                Out::R(rows) => Ok(Out::R(exec::filter_rows(env, rows, predicate)?)),
-            }
+            let bats = input.into_batches();
+            Ok(Out::B(map_batches(env, bats, |b| filter_one(b, predicate))?))
         }
         Plan::HashJoin { left, right, left_keys, right_keys, .. } => {
-            // Same runtime access-path sniffing as the tuple path, in the
-            // same order, so both paths pick the same strategy.
+            // Index-nested-loop when one side is a base-table scan with a
+            // hash index on its (single) join column and the other side is
+            // small relative to it — the access path that makes selective
+            // personalized partials cheap (paper §7, Fig. 10).
             if right_keys.len() == 1 {
                 if let Some(out) = try_vindex_join(env, left, right, left_keys, right_keys, true)? {
                     return Ok(out);
@@ -178,12 +181,10 @@ fn execute_vop(env: &Env, plan: &Plan) -> Result<Out> {
             pqp_obs::record("right_rows", r.len());
             Ok(Out::R(exec::cross_join_rows(ctx, l, r)?))
         }
-        Plan::Project { input, exprs, .. } => match run_b(env, input)? {
-            Out::B(bats) => {
-                Ok(Out::B(map_batches(env, bats, |b| Ok(Some(vexpr::project_batch(exprs, &b)?)))?))
-            }
-            Out::R(rows) => Ok(Out::R(exec::project_rows(env, rows, exprs)?)),
-        },
+        Plan::Project { input, exprs, .. } => {
+            let bats = run_b(env, input)?.into_batches();
+            Ok(Out::B(map_batches(env, bats, |b| Ok(Some(vexpr::project_batch(exprs, &b)?)))?))
+        }
         Plan::Aggregate { input, group_by, aggs, .. } => {
             let rows = run_b(env, input)?.into_rows();
             pqp_obs::record("rows_in", rows.len());
@@ -244,18 +245,18 @@ fn truncate_batches(bats: Vec<Batch>, n: usize) -> Vec<Batch> {
 
 // ---------------------------------------------------------------- scan ----
 
-/// Batched base-table scan: the index shortcut and the parallel/serial
-/// split mirror `exec::scan`; the heap is read as raw datum-encoded bytes
-/// and decoded straight into column vectors.
+/// Batched base-table scan, using a hash index for an equality conjunct of
+/// the pushed-down filter when one exists; otherwise a full (possibly
+/// partitioned-parallel) heap scan. The heap is read as raw datum-encoded
+/// bytes and decoded straight into column vectors.
 fn vscan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Out> {
     let ctx = env.ctx;
     let t = env.catalog.table(table)?;
     let t = t.read();
     let arity = t.schema().arity();
     if let Some(f) = filter {
-        // The index shortcut of `exec::scan`: an indexed equality conjunct
-        // turns the scan into a lookup, and the whole filter runs per batch
-        // over the fetched rows.
+        // An indexed equality conjunct turns the scan into a lookup, and the
+        // whole filter runs per batch over the fetched rows.
         if let Some((name, key)) = exec::indexed_eq_conjunct(&t, f) {
             if let Some(hits) = t.index_lookup_raw(name, key) {
                 return Ok(Out::B(fetch_rows(arity, hits, Some(f), ctx)?));
@@ -266,7 +267,7 @@ fn vscan(env: &Env, table: &str, filter: Option<&BoundExpr>) -> Result<Out> {
         // Morsel unit is a page: at most one partition per page.
         let parts = parts.min(t.page_count());
         if parts >= 2 {
-            return Ok(Out::B(scan_partitioned_batched(&t, filter, arity, parts, ctx)?));
+            return Ok(Out::B(scan_partitioned(&t, filter, arity, parts, ctx)?));
         }
     }
     let mut out = Vec::new();
@@ -313,10 +314,9 @@ fn flush(
     Ok(())
 }
 
-/// Parallel partitioned batched scan: one worker per contiguous page range
-/// (same morsel layout as `par::scan_partitioned`), partitions merged in
-/// page order = serial scan order.
-fn scan_partitioned_batched(
+/// Parallel partitioned batched scan: one worker per contiguous page range,
+/// partitions merged in page order = serial scan order.
+fn scan_partitioned(
     t: &Table,
     filter: Option<&BoundExpr>,
     arity: usize,
@@ -355,8 +355,7 @@ fn scan_partitioned_batched(
 
 /// Decode fetched rows (index hits, as raw heap bytes) into batches. Each
 /// batch is charged and filtered at its boundary exactly like a heap
-/// scan's, so an index fetch charges the same rows as the tuple path: every
-/// row fetched, before the filter.
+/// scan's: every row fetched is charged, before the filter.
 fn fetch_rows<'a>(
     arity: usize,
     rows: impl Iterator<Item = &'a [u8]>,
@@ -396,10 +395,10 @@ fn vindex_scan(
     vscan(env, table, Some(&pred))
 }
 
-/// Batched counterpart of `exec::try_index_join`: the same shape test
-/// (`exec::sniff_index_join`) and size guard, so it takes the index exactly
-/// when the tuple path does; `Ok(None)` hands the join back to the hash
-/// join.
+/// Index-nested-loop join sniffed at runtime: execute `probe`, and for
+/// each probe row fetch matches from `scan_side` (the shape test is
+/// `exec::sniff_index_join`, the size guard `exec::index_probe_pays`).
+/// `Ok(None)` hands the join back to the hash join.
 fn try_vindex_join(
     env: &Env,
     probe: &Plan,
@@ -430,10 +429,9 @@ fn try_vindex_join(
     Ok(Some(Out::B(out)))
 }
 
-/// Batched counterpart of `exec::index_join`: a planner-chosen
-/// [`Plan::IndexJoin`] over already-executed probe output. The runtime
-/// guard stays: a probe side large relative to the table, or an index
-/// missing at runtime, falls back to hashing.
+/// A planner-chosen [`Plan::IndexJoin`] over already-executed probe
+/// output. The runtime guard stays: a probe side large relative to the
+/// table, or an index missing at runtime, falls back to hashing.
 fn vindex_join(
     env: &Env,
     probe: Out,
@@ -467,7 +465,7 @@ fn vindex_join(
 /// the end of each probe batch) is flushed: the hits are charged as
 /// scanned rows, filtered per batch, and spliced column by column with the
 /// matching probe rows in `left ++ right` order. Output order is probe
-/// order, then index order — the tuple path's order exactly.
+/// order, then index order.
 fn index_probe(
     ctx: &QueryCtx,
     t: &Table,
@@ -583,9 +581,8 @@ fn filter_one(b: Batch, predicate: &BoundExpr) -> Result<Option<Batch>> {
 }
 
 /// Apply a per-batch transform over a batch list, in parallel contiguous
-/// chunks when the thread budget and total row count allow (the same
-/// threshold and ordered merge as the tuple path's `par` operators), with
-/// a governor checkpoint per batch either way.
+/// chunks when the thread budget and total row count allow (merged in
+/// chunk order), with a governor checkpoint per batch either way.
 fn map_batches<F>(env: &Env, bats: Vec<Batch>, f: F) -> Result<Vec<Batch>>
 where
     F: Fn(Batch) -> Result<Option<Batch>> + Sync,
@@ -715,16 +712,14 @@ type FxMap<K> = HashMap<K, Vec<u32>, std::hash::BuildHasherDefault<FxHasher>>;
 /// (no per-probe `Vec<Value>` allocation); everything else — multi-column
 /// keys, `Val`-represented columns, and numeric columns of *different*
 /// representations on the two sides (where `Int(5) = Float(5.0)` must
-/// match, as `Value` equality says) — uses the same `Vec<Value>` keys as
-/// the tuple join.
+/// match, as `Value` equality says) — uses `Vec<Value>` keys.
 enum JoinMap {
     Int(FxMap<i64>),
     Str(FxMap<Arc<str>>),
     Val(HashMap<Vec<Value>, Vec<u32>>),
 }
 
-/// Hash-join two operator outputs: batched when both sides stayed
-/// batched, the tuple join otherwise (same rows, same order either way).
+/// Hash-join two operator outputs, re-batching row output.
 fn hash_join_out(
     env: &Env,
     l: Out,
@@ -732,12 +727,7 @@ fn hash_join_out(
     left_keys: &[usize],
     right_keys: &[usize],
 ) -> Result<Out> {
-    match (l, r) {
-        (Out::B(lb), Out::B(rb)) => Ok(Out::B(join_batches(env, lb, rb, left_keys, right_keys)?)),
-        (l, r) => {
-            Ok(Out::R(exec::join_rows(env, l.into_rows(), r.into_rows(), left_keys, right_keys)?))
-        }
-    }
+    Ok(Out::B(join_batches(env, l.into_batches(), r.into_batches(), left_keys, right_keys)?))
 }
 
 /// [`hash_join_out`] for a join whose sides an access-path decision named
@@ -761,8 +751,8 @@ fn hash_join_oriented(
 /// Batched hash join. Build side = the smaller side, concatenated into one
 /// batch on the coordinator; probe side streams batch-by-batch (parallel in
 /// contiguous chunks when the budget allows), gathering matched rows
-/// column-wise. Emission order is probe order then build-insertion order —
-/// the serial tuple join's order exactly.
+/// column-wise. Emission order is probe order then build-insertion order,
+/// under any thread budget.
 fn join_batches(
     env: &Env,
     lbats: Vec<Batch>,
@@ -842,7 +832,8 @@ fn join_batches(
 /// `Int`/`Str` maps apply only when the single key column has that typed
 /// representation on the build side **and on every probe batch** — a
 /// `Float` (or demoted `Val`) probe column must go through `Value` keys so
-/// cross-representation numeric equality matches the tuple join.
+/// cross-representation numeric equality matches as `Value` equality
+/// says.
 fn build_join_map(
     build: &Batch,
     build_keys: &[usize],

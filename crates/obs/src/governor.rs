@@ -166,11 +166,6 @@ pub struct QueryCtx {
     cancelled: Arc<AtomicBool>,
 }
 
-/// How many rows a tight scan loop may process between `charge_rows` flushes.
-/// Callers accumulate locally and flush in batches of this size to keep
-/// atomic traffic off the per-row path.
-pub const CHARGE_BATCH_ROWS: u64 = 256;
-
 /// Stride (power of two) for [`QueryCtx::checkpoint`] calls in non-scan
 /// loops: check when `i & (CHECKPOINT_STRIDE - 1) == 0`.
 pub const CHECKPOINT_STRIDE: usize = 1024;
@@ -254,8 +249,8 @@ impl QueryCtx {
     }
 
     /// Charge `n` base-table rows against the scan budget and run a full
-    /// checkpoint. Scan loops batch charges (see [`CHARGE_BATCH_ROWS`]) so
-    /// this stays off the per-row path.
+    /// checkpoint. Scan loops charge once per batch of rows, so this stays
+    /// off the per-row path.
     pub fn charge_rows(&self, n: u64) -> Result<(), BudgetExceeded> {
         let total = self.rows.fetch_add(n, Ordering::Relaxed) + n;
         if let Some(max) = self.max_rows {

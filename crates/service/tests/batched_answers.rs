@@ -1,13 +1,13 @@
-//! The service-level face of the batched-execution contract: a service
-//! running the default (batched) executor must hand back the same
-//! personalized answers — rows, columns, rewrite, K/M, degradation — as one
-//! pinned to the tuple-at-a-time path. Cached plans are
-//! execution-strategy-agnostic, so the comparison holds across cold and
-//! cached executions of the same query.
+//! The service-level face of the executor's correctness contract: the
+//! personalized answers a service hands back — on a cold plan-cache pass
+//! and on the cached pass — must equal, as a multiset, the naive
+//! interpreter's answer to the MQ rewrite of the same query under the same
+//! profile and personalization options. The naive interpreter shares no
+//! operator code with the engine's executor.
 
-use pqp_core::Profile;
-use pqp_engine::{Database, ExecOptions};
-use pqp_service::{Service, ServiceConfig};
+use pqp_core::{personalize, InMemoryGraph, Profile, Rewrite};
+use pqp_engine::Database;
+use pqp_service::{CacheOutcome, DegradeLevel, Service, ServiceConfig};
 use pqp_storage::{Catalog, ColumnDef, DataType, TableSchema};
 
 fn movie_db() -> Database {
@@ -49,15 +49,12 @@ fn movie_db() -> Database {
     Database::new(c)
 }
 
-fn service_with(exec: ExecOptions) -> Service {
-    let service =
-        Service::with_config(movie_db(), ServiceConfig { exec, ..ServiceConfig::default() });
+fn profile() -> Profile {
     let mut p = Profile::new("ana");
     p.add_join("MOVIE", "mid", "GENRE", "mid", 0.9).unwrap();
     p.add_selection("GENRE", "genre", "comedy", 0.8).unwrap();
     p.add_selection("MOVIE", "year", 2000i64, 0.6).unwrap();
-    service.install_profile(p).unwrap();
-    service
+    p
 }
 
 const QUERIES: &[&str] = &[
@@ -67,20 +64,28 @@ const QUERIES: &[&str] = &[
 ];
 
 #[test]
-fn batched_service_answers_match_tuple_service() {
-    assert!(ServiceConfig::default().exec.batched, "service default is the batched executor");
-    let batched = service_with(ExecOptions::default());
-    let tuple = service_with(ExecOptions::default().batched(false));
+fn service_answers_match_naive_mq() {
+    let config = ServiceConfig::default();
+    let options = config.options;
+    let service = Service::with_config(movie_db(), config);
+    service.install_profile(profile()).unwrap();
+    let db = movie_db();
+    let graph = InMemoryGraph::build(&profile(), db.catalog()).unwrap();
     for sql in QUERIES {
+        let query = pqp_sql::parse_query(sql).unwrap();
+        let p = personalize(&query, &graph, db.catalog(), options).unwrap();
+        let mut naive = db.run_naive(&p.mq().unwrap()).unwrap().rows;
+        naive.sort();
+        assert!(!naive.is_empty(), "`{sql}` has an empty answer; the check is vacuous");
         // Twice per query: a cold plan-cache pass and a cached pass.
-        for pass in 0..2 {
-            let a = batched.session("ana").query(sql).unwrap();
-            let b = tuple.session("ana").query(sql).unwrap();
-            assert_eq!(a.rows.columns, b.rows.columns, "columns diverged on `{sql}`");
-            assert_eq!(a.rows.rows, b.rows.rows, "rows diverged on `{sql}` (pass {pass})");
-            assert_eq!(a.meta.rewrite, b.meta.rewrite);
-            assert_eq!((a.meta.k, a.meta.m), (b.meta.k, b.meta.m), "K/M diverged on `{sql}`");
-            assert_eq!(a.meta.degraded, b.meta.degraded);
+        for (pass, want_cache) in [CacheOutcome::Miss, CacheOutcome::Hit].into_iter().enumerate() {
+            let a = service.session("ana").query(sql).unwrap();
+            assert_eq!(a.meta.cache, want_cache, "`{sql}` pass {pass}");
+            assert_eq!(a.meta.rewrite, Rewrite::Mq);
+            assert_eq!(a.meta.degraded, DegradeLevel::None);
+            let mut rows = a.rows.rows;
+            rows.sort();
+            assert_eq!(rows, naive, "rows diverged from naive MQ on `{sql}` (pass {pass})");
         }
     }
 }

@@ -82,15 +82,16 @@ PQP_THREADS=4 cargo test "${CARGO_FLAGS[@]}" -p pqp --test stats_equivalence -q
 echo "==> stats equivalence (PQP_THREADS=4, RUST_TEST_THREADS=1)"
 PQP_THREADS=4 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp --test stats_equivalence -q
 
-# Batched (vectorized) execution is the default path and must be
-# byte-identical to the tuple-at-a-time reference: the differential suites
-# (random predicates over hazard-biased schemas, the generated movie
-# corpus, service-level answers) run on both test schedules.
-echo "==> vectorized differential suites"
+# The batched (vectorized) executor must agree with the naive interpreter,
+# which shares no operator code with it, and return identical rows under
+# any thread budget: the differential suites (random predicates over
+# hazard-biased schemas, the generated movie corpus, service-level
+# answers) run on both test schedules.
+echo "==> vectorized differential suites (executor == naive oracle)"
 cargo test "${CARGO_FLAGS[@]}" -p pqp-engine --test vectorized_equivalence -q
 cargo test "${CARGO_FLAGS[@]}" -p pqp-datagen --test vectorized_equivalence -q
 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test batched_answers -q
-echo "==> vectorized differential suites (RUST_TEST_THREADS=1)"
+echo "==> vectorized differential suites (executor == naive oracle, RUST_TEST_THREADS=1)"
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-engine --test vectorized_equivalence -q
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-datagen --test vectorized_equivalence -q
 RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test batched_answers -q
@@ -98,9 +99,8 @@ RUST_TEST_THREADS=1 cargo test "${CARGO_FLAGS[@]}" -p pqp-service --test batched
 # The native rank operator must be indistinguishable from the ranked MQ
 # rewrite — same rows, bit-identical degrees, deterministic tie order —
 # over randomized profiles and K/M/L knobs. The suite itself re-executes
-# every native plan under the parallel and tuple-at-a-time executor modes
-# and trips governor budgets mid-operator; it runs here on both test
-# schedules.
+# every native plan under a parallel thread budget and trips governor
+# budgets mid-operator; it runs here on both test schedules.
 echo "==> native rank differential suite"
 cargo test "${CARGO_FLAGS[@]}" -p pqp --test native_rank_differential -q
 echo "==> native rank differential suite (RUST_TEST_THREADS=1)"
@@ -135,8 +135,8 @@ else
 fi
 
 # Vectorized micro-bench smoke: must produce results/micro_vectorized.json
-# with the full benchmark set and a derived speedup block (the asserted
-# batched-vs-tuple row identity runs inside the bench binary itself).
+# with the full benchmark set and a derived block (join output size and
+# host cores).
 echo "==> vectorized bench smoke"
 cargo bench "${CARGO_FLAGS[@]}" -p pqp-bench --bench vectorized
 if command -v python3 >/dev/null; then
@@ -144,19 +144,17 @@ if command -v python3 >/dev/null; then
 import json
 doc = json.load(open("results/micro_vectorized.json"))
 names = {b["name"] for b in doc["benchmarks"]}
-for name in ("join4_tuple", "join4_batched", "scan_broad_tuple",
-             "scan_broad_batched", "scan_selective_tuple", "scan_selective_batched"):
+for name in ("join4_batched", "scan_broad_batched", "scan_selective_batched"):
     assert name in names, f"benchmark {name} missing"
 for b in doc["benchmarks"]:
     assert b["mean_ms"] > 0 and b["n"] > 0
-for key in ("join4_vectorized_speedup", "scan_broad_vectorized_speedup",
-            "scan_selective_vectorized_speedup", "join4_rows", "host_cores"):
+for key in ("join4_rows", "host_cores"):
     assert key in doc["derived"], f"derived.{key} missing"
 assert doc["derived"]["join4_rows"] > 0
 assert doc["meta"]["bench"] == "micro_vectorized"
 EOF
 else
-    grep -q '"join4_vectorized_speedup"' results/micro_vectorized.json
+    grep -q '"join4_batched"' results/micro_vectorized.json
 fi
 
 # Replication bench smoke (PQP_REPL_SMOKE shrinks the sample counts):

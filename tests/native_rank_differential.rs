@@ -8,9 +8,9 @@
 //! descending, then the visible columns ascending as the tie-break).
 //!
 //! The suite runs randomized profiles and K/M/L knobs over the generated
-//! movie corpus, and re-executes every native plan under the parallel
-//! (`PQP_THREADS=4`-shaped) and tuple-at-a-time (`PQP_BATCHED=0`-shaped)
-//! executor modes, which must be row-for-row identical to the serial run.
+//! movie corpus, and re-executes every native plan under a parallel
+//! (`PQP_THREADS=4`-shaped) thread budget, which must be row-for-row
+//! identical to the serial run.
 //! scripts/verify.sh and CI run the suite on both test schedules (default
 //! and `RUST_TEST_THREADS=1`).
 
@@ -37,9 +37,9 @@ fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows
 }
 
-/// The alternate executor modes every native plan is re-run under.
-fn alternate_modes() -> [ExecOptions; 2] {
-    [ExecOptions::with_threads(4).min_parallel_rows(2), ExecOptions::default().batched(false)]
+/// The parallel thread budget every native plan is re-run under.
+fn parallel_mode() -> ExecOptions {
+    ExecOptions::with_threads(4).min_parallel_rows(2)
 }
 
 /// Build the native execution for `p`; `None` when the strategy layer had
@@ -89,15 +89,9 @@ fn native_matches_ranked_mq_over_randomized_profiles_and_knobs() {
             "query {i} (K={k}, M={mm}, L={l}) diverged from ranked MQ: {q}"
         );
         nonempty += usize::from(!native.rows.is_empty());
-        // Executor modes must be row-for-row identical.
-        for exec in alternate_modes() {
-            let alt = m.db.run_plan_with(&choice.plan, &exec).unwrap();
-            assert_eq!(
-                alt.rows, native.rows,
-                "query {i} diverged under threads={} batched={}",
-                exec.threads, exec.batched
-            );
-        }
+        // A thread budget must be row-for-row identical.
+        let alt = m.db.run_plan_with(&choice.plan, &parallel_mode()).unwrap();
+        assert_eq!(alt.rows, native.rows, "query {i} diverged under 4 threads");
     }
     assert!(exercised >= 6, "only {exercised} native plans built; the suite is near-vacuous");
     assert!(nonempty > 0, "the workload never produced rows; the suite is vacuous");
@@ -131,10 +125,8 @@ fn native_top_n_equals_canonically_truncated_mq() {
             let mq = canonical(m.db.run_query(&p.mq().unwrap()).unwrap().rows);
             let cut = &mq[..mq.len().min(n as usize)];
             assert_eq!(native.rows, cut, "query {i} top-{n} diverged: {q}");
-            for exec in alternate_modes() {
-                let alt = m.db.run_plan_with(&choice.plan, &exec).unwrap();
-                assert_eq!(alt.rows, native.rows, "query {i} top-{n} mode divergence");
-            }
+            let alt = m.db.run_plan_with(&choice.plan, &parallel_mode()).unwrap();
+            assert_eq!(alt.rows, native.rows, "query {i} top-{n} diverged under 4 threads");
         }
     }
     assert!(exercised >= 6, "only {exercised} top-n plans built; the suite is near-vacuous");
@@ -218,7 +210,7 @@ fn governor_trips_mid_topk_leave_no_state_behind() {
         (Budget::unlimited().max_rows(1), BudgetReason::RowsScanned),
         (Budget::unlimited().max_memory_bytes(16), BudgetReason::Memory),
     ];
-    for exec in [ExecOptions::default(), ExecOptions::with_threads(4).min_parallel_rows(2)] {
+    for exec in [ExecOptions::default(), parallel_mode()] {
         for (budget, reason) in trips {
             let ctx = QueryCtx::new(budget);
             match m.db.run_plan_ctx(&choice.plan, &exec, &ctx) {
